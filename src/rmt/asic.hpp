@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -29,7 +30,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/port.hpp"
 #include "sim/random.hpp"
-#include "sim/stats.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ht::rmt {
@@ -137,43 +137,27 @@ class SwitchAsic {
   std::uint64_t replicas_created() const { return replicas_->value(); }
   std::uint64_t injected_drops() const { return injected_drops_->value(); }
 
-  /// Every drop/overflow path registered on the device registry in one flat
-  /// report: pipeline drops, injected drops, digest-queue drops, per-port
-  /// MAC counters (queue-full, no-peer, FCS), plus whatever attached
-  /// components (HTPR integrity gates, chaos links, FIFOs) registered.
-  /// Compat adapter over metrics().drop_counters().
-  std::vector<sim::DropCounter> drop_counters() const;
-
  private:
-  /// One multicast replica headed for egress.
+  /// One replica headed for egress (a unicast packet or a multicast copy).
   struct EgressReplica {
     net::PacketPtr pkt;
     std::uint16_t port = 0;
     std::uint16_t rid = 0;
   };
-  using EgressBatch = std::vector<EgressReplica>;
 
-  /// Replica waiting to be grouped by TM arrival tick (multicast fan-out).
+  /// Multicast replica waiting to be grouped by TM arrival tick.
   struct PendingReplica {
     sim::TimeNs tick = 0;
-    net::PacketPtr pkt;
-    std::uint16_t port = 0;
-    std::uint16_t rid = 0;
+    EgressReplica rep;
   };
 
   void enter_ingress(net::PacketPtr pkt);
   void run_ingress(net::PacketPtr pkt);
   void to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im);
-  void run_egress(net::PacketPtr pkt, std::uint16_t eport, std::uint16_t rid);
-  /// Egress for all replicas that share one TM arrival tick: one event in,
-  /// one batched pipeline walk, one emit event out.
-  void run_egress_batch(EgressBatch batch);
-  /// Shared egress tail (counter + trace + emission) used by both the
-  /// interpreted and fused egress passes. Emission runs inline with
-  /// `now_ns` = pass time + egress latency: the constant offset makes the
-  /// scheduled-event hop redundant, so emit computes the same wire/recirc
-  /// timestamps one event earlier (the CPU punt keeps its event).
-  void finish_egress(net::PacketPtr pkt, std::uint16_t eport);
+  /// The one egress path: every replica that shares a TM arrival tick runs
+  /// its pipeline pass (all fused or all interpreted), then every replica
+  /// is counted and emitted, with one trace span for the tick.
+  void run_egress(std::span<EgressReplica> reps);
   void emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_ns);
 
   struct RecircChannel {
@@ -202,8 +186,8 @@ class SwitchAsic {
   McastGroupTable mcast_;
   ResourceAccountant resources_;
   /// Reused across to_traffic_manager calls so the multicast fan-out
-  /// allocates nothing in steady state (singleton tick groups — the common
-  /// case — never touch a heap-backed batch at all).
+  /// allocates nothing in steady state (single-replica ticks — the common
+  /// case — never touch a heap-backed group at all).
   std::vector<PendingReplica> mcast_scratch_;
   FastPathHooks* fastpath_ = nullptr;
   std::function<void(net::PacketPtr)> cpu_punt_;

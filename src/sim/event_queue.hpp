@@ -30,7 +30,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -43,10 +42,6 @@ namespace ht::sim {
 
 class EventQueue {
  public:
-  /// Kept for callers that store handlers before scheduling; schedule_at
-  /// accepts any callable type directly and will store small ones inline.
-  using Handler = std::function<void()>;
-
   EventQueue() = default;
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;

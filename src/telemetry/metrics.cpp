@@ -41,11 +41,6 @@ std::uint64_t Histogram::quantile(double q) const {
   return max_;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry g;
-  return g;
-}
-
 std::string render_name(const std::string& name, const std::vector<Label>& labels) {
   if (labels.empty()) return name;
   std::string out = name;

@@ -148,9 +148,8 @@ struct MetricOpts {
   std::string help;
   /// When set, this metric is part of the drop/overflow/corruption audit
   /// trail under this legacy source name (e.g. "port1.queue_full") and is
-  /// returned by MetricsRegistry::drop_counters() — the registry-backed
-  /// replacement for the bespoke flat-report assembly that used to live
-  /// in SwitchAsic::drop_counters() and HyperTester::drop_report().
+  /// returned by MetricsRegistry::drop_counters(), which
+  /// HyperTester::drop_report() reads.
   std::string drop_source;
 };
 
@@ -173,12 +172,6 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Process-wide default instance. Each HyperTester owns its own
-  /// registry (so two testbeds in one process stay independent and
-  /// deterministic); the global one exists for code with no natural
-  /// owner (ad-hoc tools, one-off probes).
-  static MetricsRegistry& global();
 
   /// Histogram recording switch. Counters and gauges keep counting when
   /// disabled — they are the system's bookkeeping (drop reports, query

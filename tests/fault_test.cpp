@@ -320,12 +320,12 @@ TEST(AsicFaults, IngressFaultHookDropsAndCounts) {
   bed.ev.run_until(sim::us(10));
   EXPECT_EQ(bed.asic.ingress_packets(), 0u);
   EXPECT_EQ(bed.asic.injected_drops(), 1u);
-  const auto report = bed.asic.drop_counters();
-  const auto it = std::find_if(report.begin(), report.end(), [](const sim::DropCounter& c) {
-    return c.source == "asic.injected_drops";
+  const auto report = bed.asic.metrics().drop_counters();
+  const auto it = std::find_if(report.begin(), report.end(), [](const auto& c) {
+    return c.first == "asic.injected_drops";
   });
   ASSERT_NE(it, report.end());
-  EXPECT_EQ(it->count, 1u);
+  EXPECT_EQ(it->second, 1u);
 }
 
 TEST(PollerRetry, TotalRpcLossExhaustsRetriesIntoFailureReport) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
 
 #include "htpr/false_positive.hpp"
 #include "htps/inverse_transform.hpp"
@@ -24,7 +26,17 @@ using net::FieldId;
 
 // --- packet round-trips over the full protocol/size grid ----------------------
 
+// gtest names each case after the raw bytes of its parameter, so every
+// construction and copy zeroes the padding after `l4`: a member-wise copy
+// leaves it holding stale heap bytes, and the test names changed from run to run.
 struct PacketCase {
+  PacketCase(net::HeaderKind kind, std::size_t bytes) {
+    std::memset(static_cast<void*>(this), 0, sizeof(*this));
+    l4 = kind;
+    size = bytes;
+  }
+  PacketCase(const PacketCase& other) : PacketCase(other.l4, other.size) {}
+  PacketCase& operator=(const PacketCase&) = default;
   net::HeaderKind l4;
   std::size_t size;
 };
@@ -170,6 +182,12 @@ struct DistCase {
   double expect_mean;
   double expect_stddev;  // < 0 = don't check
 };
+
+// Names each case by its distribution and shape ("normal_10000_1000") instead
+// of its raw bytes, which hold the address of `name` and so differ per run.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.name << '_' << static_cast<long long>(c.p1) << '_' << static_cast<long long>(c.p2);
+}
 
 class InverseTransformSweep : public ::testing::TestWithParam<DistCase> {};
 

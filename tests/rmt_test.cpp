@@ -353,6 +353,21 @@ TEST(Asic, MulticastReplicatesToMembers) {
   EXPECT_NE(tb.sinks[1]->packets[0].get(), tb.sinks[2]->packets[0].get());
 }
 
+TEST(Asic, MulticastToEmptyGroupCountsDrop) {
+  test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 2});
+  tb.asic.mcast().configure(5, {});
+  auto& t = tb.asic.ingress().add_table("mc", {}, 4);
+  t.set_default("mc", [](ActionContext& ctx) {
+    ctx.phv.intrinsic().dest = Destination::kMulticast;
+    ctx.phv.intrinsic().mcast_group = 5;
+  });
+  tb.sinks[0]->port.send(net::make_packet(net::make_udp_packet(1, 2, 3, 4, 64)));
+  tb.ev.run_until(sim::us(10));
+  EXPECT_EQ(tb.asic.dropped_packets(), 1u);
+  EXPECT_EQ(tb.asic.replicas_created(), 0u);
+  EXPECT_TRUE(tb.sinks[1]->packets.empty());
+}
+
 TEST(Asic, McastDelayMatchesCalibration) {
   // Fig 15a: ~389ns mcast delay for 64B with RMSE < 4.5ns.
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 2});
