@@ -7,7 +7,7 @@
 //
 // With `--loss <rate>` the 100G sweep instead runs through a chaos link
 // (Bernoulli loss, fixed seed) and reports delivered goodput plus the
-// aggregated drop report — the degraded-conditions variant written by
+// drop ledger — the degraded-conditions variant written by
 // scripts/bench.sh as BENCH_fig9_lossy.json.
 //
 // With `--crash` the sweep runs under the Supervisor (DESIGN.md §14): the
@@ -34,7 +34,7 @@ struct RunResult {
   double delivered_gbps = 0.0; ///< goodput after chaos-link loss
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
-  std::vector<ht::sim::DropCounter> drops;
+  std::vector<ht::telemetry::DropRow> drops;
   std::string telemetry_json;  ///< registry dump (per-port latency quantiles etc.)
 };
 
@@ -56,7 +56,7 @@ RunResult hypertester_run(double port_rate, std::size_t pkt_len, double loss_rat
   RunResult r;
   r.tx_gbps = tb.tester->asic().port(1).tx_line_rate_gbps();
   // Offered/delivered come from the metrics registry's chaos aggregates —
-  // the same single source of truth as the drop report — instead of being
+  // the same single source of truth as the drop ledger — instead of being
   // re-derived by summing per-injector stats here.
   const auto& metrics = tb.tester->metrics();
   r.offered = metrics.counter_value("ht_chaos_offered_total").value_or(0);
@@ -65,7 +65,7 @@ RunResult hypertester_run(double port_rate, std::size_t pkt_len, double loss_rat
                          ? r.tx_gbps * static_cast<double>(r.delivered) /
                                static_cast<double>(r.offered)
                          : r.tx_gbps;
-  r.drops = tb.tester->drop_report();
+  r.drops = metrics.drop_counters();
   r.telemetry_json = ht::telemetry::to_json(metrics);
   return r;
 }
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
                static_cast<double>(r.offered - r.delivered), "packets", 0.0);
       last = r;
     }
-    std::printf("\ndrop report (1500B run):\n%s\n", sim::format_drop_report(last.drops).c_str());
+    std::printf("\ndrop ledger (1500B run):\n%s\n", sim::format_drop_ledger(last.drops).c_str());
     json.add("total_drops_1500B", static_cast<double>(sim::total_drops(last.drops)), "packets",
              0.0);
     json.set_block("telemetry", last.telemetry_json);

@@ -4,7 +4,7 @@
 // first over a clean store-and-forward DUT, then with a chaos profile on
 // the task — a Gilbert-Elliott bursty-loss link plus mild reordering.
 // The sent/received query pair gives the measured loss rate, and the
-// aggregated drop report shows where every missing packet went. Both runs
+// drop ledger shows where every missing packet went. Both runs
 // reproduce bit-identically from the profile seed (DESIGN.md §9).
 //
 //   $ ./loss_measurement
@@ -20,7 +20,7 @@ namespace {
 struct Result {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
-  std::string drop_report;
+  std::string drop_ledger;
 };
 
 /// Tester port 0 -> store-and-forward DUT -> tester port 1, driving a
@@ -51,7 +51,7 @@ Result run(const ht::ntapi::ChaosSpec* chaos) {
   Result r;
   r.sent = tester.query_total(app.q_sent);
   r.received = tester.query_total(app.q_received);
-  r.drop_report = sim::format_drop_report(tester.drop_report());
+  r.drop_ledger = sim::format_drop_ledger(tester.metrics().drop_counters());
   return r;
 }
 
@@ -59,10 +59,10 @@ void report(const char* label, const Result& r) {
   const double loss =
       r.sent > 0 ? 100.0 * static_cast<double>(r.sent - r.received) / static_cast<double>(r.sent)
                  : 0.0;
-  std::printf("%s\n  sent %llu, received %llu -> measured loss %.2f%%\n  drop report:\n",
+  std::printf("%s\n  sent %llu, received %llu -> measured loss %.2f%%\n  drop ledger:\n",
               label, static_cast<unsigned long long>(r.sent),
               static_cast<unsigned long long>(r.received), loss);
-  std::printf("%s\n", r.drop_report.c_str());
+  std::printf("%s\n", r.drop_ledger.c_str());
 }
 
 }  // namespace

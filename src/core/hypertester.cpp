@@ -71,11 +71,9 @@ void HyperTester::register_lifecycle_metrics() {
 void HyperTester::run_for(sim::TimeNs duration) {
   const sim::TimeNs start = ev_.now();
   home_->group().run_until(start + duration);
-  if constexpr (telemetry::kEnabled) {
-    if (asic_.trace().enabled()) {
-      asic_.trace().complete("run_for", start, ev_.now() - start,
-                             telemetry::TraceRecorder::kTrackTask);
-    }
+  if (asic_.trace().enabled()) {
+    asic_.trace().complete("run_for", start, ev_.now() - start,
+                           telemetry::TraceRecorder::kTrackTask);
   }
 }
 
@@ -97,9 +95,7 @@ void HyperTester::load(const ntapi::Task& task) {
   net::PoolBinding bind(&home_->pool());
   ntapi::Compiler compiler(asic_.config());
   compiled_ = compiler.compile(task);
-  if constexpr (telemetry::kEnabled) {
-    compiled_->annotate_trace(asic_.trace(), ev_.now());
-  }
+  compiled_->annotate_trace(asic_.trace(), ev_.now());
 
   sender_ = std::make_unique<htps::Sender>(asic_);
   receiver_ = std::make_unique<htpr::Receiver>(asic_);
@@ -120,7 +116,7 @@ void HyperTester::load(const ntapi::Task& task) {
         "ht_regfifo_overflows_total", [tf] { return tf->fifo().overflows(); },
         {.labels = {{"fifo", tf->fifo().name()}},
          .help = "trigger records lost to a full register FIFO",
-         .drop_source = tf->fifo().name() + ".overflows"});
+         .drop = true});
   }
 
   // HTPS: install templates (editor EditOps already reference lane
@@ -223,29 +219,29 @@ void HyperTester::apply_chaos() {
     }
   }
 
-  // Per-link fault stats join the registry: the drop-flavoured ones under
-  // their legacy "<link>.fault_<kind>" audit source names, plus the
-  // aggregate offered/delivered pair the throughput benches consume
-  // instead of re-summing injector stats by hand.
+  // Per-link fault stats join the registry. Only losses and flap drops
+  // are drops: a corrupted frame is still delivered (the MAC FCS check or
+  // an HTPR checksum gate counts its discard), and reordered or
+  // duplicated packets all arrive. Per link,
+  //   offered + duplicated == delivered + lost + flap_drops.
+  // The aggregate offered/delivered pair is what the throughput benches
+  // consume instead of re-summing injector stats by hand.
   auto& m = asic_.metrics();
   for (const auto& link : chaos_links_) {
     const sim::FaultInjector* inj = link.injector.get();
     const std::vector<telemetry::Label> labels = {{"link", link.name}};
     m.mirror_counter("ht_chaos_lost_total", [inj] { return inj->stats().lost; },
                      {.labels = labels, .help = "Bernoulli + Gilbert-Elliott losses",
-                      .drop_source = link.name + ".fault_lost"});
+                      .drop = true});
     m.mirror_counter("ht_chaos_flap_drops_total", [inj] { return inj->stats().flap_drops; },
                      {.labels = labels, .help = "packets dropped while the link was down",
-                      .drop_source = link.name + ".fault_flap_drops"});
+                      .drop = true});
     m.mirror_counter("ht_chaos_corrupted_total", [inj] { return inj->stats().corrupted; },
-                     {.labels = labels, .help = "packets bit-flipped on the wire",
-                      .drop_source = link.name + ".fault_corrupted"});
+                     {.labels = labels, .help = "packets bit-flipped on the wire"});
     m.mirror_counter("ht_chaos_duplicated_total", [inj] { return inj->stats().duplicated; },
-                     {.labels = labels, .help = "packets duplicated on the wire",
-                      .drop_source = link.name + ".fault_duplicated"});
+                     {.labels = labels, .help = "packets duplicated on the wire"});
     m.mirror_counter("ht_chaos_reordered_total", [inj] { return inj->stats().reordered; },
-                     {.labels = labels, .help = "packets delivered out of order",
-                      .drop_source = link.name + ".fault_reordered"});
+                     {.labels = labels, .help = "packets delivered out of order"});
   }
   m.mirror_counter("ht_chaos_offered_total",
                    [this] {
@@ -262,15 +258,6 @@ void HyperTester::apply_chaos() {
                      return total;
                    },
                    {.help = "packets the chaos injectors handed to their destination"});
-}
-
-std::vector<sim::DropCounter> HyperTester::drop_report() const {
-  // Everything with a drop_source registered on the device registry, in
-  // registration order: ASIC + ports (construction), controller (ctor),
-  // HTPR integrity gates + FIFOs (load), chaos links (start).
-  std::vector<sim::DropCounter> out;
-  for (auto& [source, count] : asic_.metrics().drop_counters()) out.push_back({source, count});
-  return out;
 }
 
 std::optional<sim::FailureReport> HyperTester::run_with_retry(
@@ -291,7 +278,7 @@ std::optional<sim::FailureReport> HyperTester::run_with_retry(
   }
   const sim::TimeNs deadline = ev_.now() + duration;
   const sim::TimeNs first_attempt = ev_.now();
-  auto counters_before = drop_report();
+  auto counters_before = asic_.metrics().drop_counters();
   unsigned retry = 0;
   unsigned attempts = 1;
   std::uint64_t last = progress();
@@ -313,7 +300,7 @@ std::optional<sim::FailureReport> HyperTester::run_with_retry(
       report.gave_up_ns = ev_.now();
       report.attempts = attempts;
       report.counters_before = std::move(counters_before);
-      report.counters_after = drop_report();
+      report.counters_after = asic_.metrics().drop_counters();
       ++run_failures_;
       failure_log_.push_back(report);
       return report;

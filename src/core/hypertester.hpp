@@ -75,7 +75,9 @@ class HyperTester {
   // --- telemetry -------------------------------------------------------------
   /// The tester-wide metrics registry (owned by the ASIC; every attached
   /// component registers there — DESIGN.md §10). Single source of truth
-  /// for counters, gauges, latency histograms, and the drop audit trail.
+  /// for counters, gauges and latency histograms; metrics().drop_counters()
+  /// is the drop ledger (ASIC, ports, trigger FIFOs, controller RPCs, HTPR
+  /// integrity gates, chaos links) under the exported metric names.
   telemetry::MetricsRegistry& metrics() { return asic_.metrics(); }
   const telemetry::MetricsRegistry& metrics() const { return asic_.metrics(); }
   /// Chrome-trace recorder; enable before run_for to capture a timeline.
@@ -109,14 +111,6 @@ class HyperTester {
     std::unique_ptr<sim::FaultInjector> injector;
   };
   const std::vector<ChaosLink>& chaos_links() const { return chaos_links_; }
-
-  /// Every drop/overflow/corruption counter of the testbed in one flat
-  /// report: ASIC pipeline + digest + per-port MAC counters, trigger-FIFO
-  /// overflows, lost control-plane RPCs, HTPR integrity rejections, and
-  /// the chaos injectors' stats. Derived from the metrics registry (every
-  /// entry registered with a drop_source, in registration order) — the
-  /// registry is the single source of truth, this is the flat view.
-  std::vector<sim::DropCounter> drop_report() const;
 
   /// run_for with supervision: advances in `policy.timeout_ns` slices and
   /// watches a progress counter (default: packets received on the

@@ -81,9 +81,7 @@ void Receiver::install() {
 
   // Per-query telemetry: the query registers stay authoritative; the
   // device registry mirrors them (single aggregation point), and the two
-  // integrity counters join the drop/corruption audit trail under their
-  // legacy "htpr.<query>.<reason>" source names. The latency histogram is
-  // instrumentation-only and compiles away with HT_TELEMETRY=OFF.
+  // integrity counters join the drop ledger.
   latency_hist_.resize(n, nullptr);
   for (std::size_t q = 0; q < n; ++q) {
     const std::string& qn = queries_[q].name;
@@ -97,12 +95,12 @@ void Receiver::install() {
         "ht_htpr_query_checksum_fails_total", [this, q] { return checksum_fails(q); },
         {.labels = {{"query", qn}},
          .help = "packets rejected by checksum re-verification",
-         .drop_source = "htpr." + qn + ".checksum_fails"});
+         .drop = true});
     m.mirror_counter(
         "ht_htpr_query_out_of_window_total", [this, q] { return out_of_window(q); },
         {.labels = {{"query", qn}},
          .help = "packets rejected by the plausibility window",
-         .drop_source = "htpr." + qn + ".out_of_window"});
+         .drop = true});
     for (std::size_t r = 0; r <= queries_[q].response.rules.size(); ++r) {
       if (queries_[q].response.rules.empty()) break;
       const std::string cls = r < queries_[q].response.rules.size()
@@ -114,17 +112,15 @@ void Receiver::install() {
           {.labels = {{"query", qn}, {"class", cls}},
            .help = "matched packets by response class"});
     }
-    if constexpr (telemetry::kEnabled) {
-      latency_hist_[q] = &m.histogram(
-          "ht_htpr_query_latency_ns",
+    latency_hist_[q] = &m.histogram(
+        "ht_htpr_query_latency_ns",
+        {.labels = {{"query", qn}},
+         .help = "ingress MAC timestamp to query match, per matched packet"});
+    if (queries_[q].response.sample_latency) {
+      request_hist_[q] = &m.histogram(
+          "ht_htpr_request_latency_ns",
           {.labels = {{"query", qn}},
-           .help = "ingress MAC timestamp to query match, per matched packet"});
-      if (queries_[q].response.sample_latency) {
-        request_hist_[q] = &m.histogram(
-            "ht_htpr_request_latency_ns",
-            {.labels = {{"query", qn}},
-             .help = "request->response latency samples (state-based delay)"});
-      }
+           .help = "request->response latency samples (state-based delay)"});
     }
   }
 

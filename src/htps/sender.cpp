@@ -83,9 +83,8 @@ void Sender::install() {
   }
 
   // Send-rate telemetry: per-template fire counters join the device
-  // registry as mirrors (the fires register stays authoritative);
-  // timer-accuracy histograms are instrumentation-only and compile away
-  // with HT_TELEMETRY=OFF.
+  // registry as mirrors (the fires register stays authoritative), next
+  // to the timer-accuracy histograms.
   fire_gap_hist_.resize(n, nullptr);
   timer_err_hist_.resize(n, nullptr);
   for (std::uint32_t t = 0; t < n; ++t) {
@@ -98,16 +97,14 @@ void Sender::install() {
         [this, t] { return static_cast<std::int64_t>(loop_copies(t)); },
         {.labels = {{"template", tn}},
          .help = "template copies held in the recirculation loop"});
-    if constexpr (telemetry::kEnabled) {
-      fire_gap_hist_[t] = &asic_.metrics().histogram(
-          "ht_htps_fire_interval_ns",
-          {.labels = {{"template", tn}},
-           .help = "achieved inter-departure time between replication fires"});
-      timer_err_hist_[t] = &asic_.metrics().histogram(
-          "ht_htps_timer_error_ns",
-          {.labels = {{"template", tn}},
-           .help = "absolute error between achieved and configured inter-departure interval"});
-    }
+    fire_gap_hist_[t] = &asic_.metrics().histogram(
+        "ht_htps_fire_interval_ns",
+        {.labels = {{"template", tn}},
+         .help = "achieved inter-departure time between replication fires"});
+    timer_err_hist_[t] = &asic_.metrics().histogram(
+        "ht_htps_timer_error_ns",
+        {.labels = {{"template", tn}},
+         .help = "absolute error between achieved and configured inter-departure interval"});
   }
 
   // Accelerator fill targets: the loop's capacity is RTT / min-arrival

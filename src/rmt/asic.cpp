@@ -36,15 +36,15 @@ void SwitchAsic::register_device_metrics() {
   dropped_ = &metrics_.counter(
       "ht_asic_pipeline_drops_total",
       {.help = "packets dropped by pipeline verdict or an invalid egress port",
-       .drop_source = "asic.pipeline_drops"});
+       .drop = true});
   injected_drops_ = &metrics_.counter(
       "ht_asic_injected_drops_total",
       {.help = "packets dropped by the ASIC-internal fault hook before the parser",
-       .drop_source = "asic.injected_drops"});
+       .drop = true});
   metrics_.mirror_counter(
       "ht_asic_digest_drops_total", [this] { return digests_.dropped(); },
       {.help = "digest messages dropped on a full digest queue",
-       .drop_source = "asic.digest_drops"});
+       .drop = true});
   recirculations_ = &metrics_.counter(
       "ht_asic_recirculations_total",
       {.help = "packets looped through a recirculation channel"});
@@ -59,7 +59,6 @@ void SwitchAsic::register_device_metrics() {
   for (const auto& pp : ports_) {
     sim::Port* p = pp.get();
     const std::string n = std::to_string(p->id());
-    const std::string prefix = "port" + n;
     metrics_.mirror_counter("ht_port_tx_packets_total", [p] { return p->tx_packets(); },
                             {.labels = {{"port", n}}, .help = "frames queued for transmission"});
     metrics_.mirror_counter("ht_port_rx_packets_total", [p] { return p->rx_packets(); },
@@ -71,30 +70,26 @@ void SwitchAsic::register_device_metrics() {
     metrics_.mirror_counter(
         "ht_port_queue_full_drops_total", [p] { return p->dropped_queue_full(); },
         {.labels = {{"port", n}}, .help = "frames tail-dropped on a full egress queue",
-         .drop_source = prefix + ".queue_full"});
+         .drop = true});
     metrics_.mirror_counter(
         "ht_port_no_peer_drops_total", [p] { return p->dropped_no_peer(); },
         {.labels = {{"port", n}}, .help = "frames sent with no wire attached",
-         .drop_source = prefix + ".no_peer"});
+         .drop = true});
     metrics_.mirror_counter(
         "ht_port_fcs_drops_total", [p] { return p->rx_fcs_drops(); },
         {.labels = {{"port", n}}, .help = "frames dropped by MAC FCS verification",
-         .drop_source = prefix + ".fcs"});
-    if constexpr (telemetry::kEnabled) {
-      auto& h = metrics_.histogram(
-          "ht_port_wire_latency_ns",
-          {.labels = {{"port", n}},
-           .help = "send() to last-bit-arrival per frame: queue wait + serialization + propagation"});
-      p->set_telemetry(&h, &trace_);
-      trace_.set_track_name(telemetry::TraceRecorder::kTrackPortBase + p->id(), "port" + n + " tx");
-    }
+         .drop = true});
+    auto& h = metrics_.histogram(
+        "ht_port_wire_latency_ns",
+        {.labels = {{"port", n}},
+         .help = "send() to last-bit-arrival per frame: queue wait + serialization + propagation"});
+    p->set_telemetry(&h, &trace_);
+    trace_.set_track_name(telemetry::TraceRecorder::kTrackPortBase + p->id(), "port" + n + " tx");
   }
-  if constexpr (telemetry::kEnabled) {
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackTask, "task");
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackIngress, "ingress pipeline");
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackEgress, "egress pipeline");
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackRecirc, "recirculation");
-  }
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackTask, "task");
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackIngress, "ingress pipeline");
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackEgress, "egress pipeline");
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackRecirc, "recirculation");
 }
 
 sim::Port& SwitchAsic::port(std::uint16_t i) {
@@ -146,12 +141,10 @@ void SwitchAsic::enter_ingress(net::PacketPtr pkt) {
 
 void SwitchAsic::run_ingress(net::PacketPtr pkt) {
   ingress_packets_->inc();
-  if constexpr (telemetry::kEnabled) {
-    if (trace_.enabled()) {
-      trace_.complete("ingress", ev_.now(),
-                      static_cast<std::uint64_t>(std::llround(cfg_.timing.ingress_latency_ns)),
-                      telemetry::TraceRecorder::kTrackIngress);
-    }
+  if (trace_.enabled()) {
+    trace_.complete("ingress", ev_.now(),
+                    static_cast<std::uint64_t>(std::llround(cfg_.timing.ingress_latency_ns)),
+                    telemetry::TraceRecorder::kTrackIngress);
   }
   if (fastpath_ != nullptr) {
     IntrinsicMeta im;
@@ -283,11 +276,9 @@ void SwitchAsic::run_egress(std::span<EgressReplica> reps) {
   // is identical, one event per replica cheaper.
   egress_packets_->inc(reps.size());
   const auto delay = static_cast<sim::TimeNs>(std::llround(cfg_.timing.egress_latency_ns));
-  if constexpr (telemetry::kEnabled) {
-    if (trace_.enabled()) {
-      trace_.complete("egress", now, static_cast<std::uint64_t>(delay),
-                      telemetry::TraceRecorder::kTrackEgress);
-    }
+  if (trace_.enabled()) {
+    trace_.complete("egress", now, static_cast<std::uint64_t>(delay),
+                    telemetry::TraceRecorder::kTrackEgress);
   }
   for (EgressReplica& r : reps) emit(std::move(r.pkt), r.port, now + delay);
 }
@@ -316,12 +307,10 @@ void SwitchAsic::emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_n
     const double arrive = start + ser +
                           TimingModel::jittered(rng_, cfg_.timing.recirc_fixed_ns,
                                                 cfg_.timing.recirc_jitter_sigma_ns);
-    if constexpr (telemetry::kEnabled) {
-      if (trace_.enabled() && arrive >= now) {
-        trace_.complete("recirc", now_ns,
-                        static_cast<std::uint64_t>(std::llround(arrive - now)),
-                        telemetry::TraceRecorder::kTrackRecirc);
-      }
+    if (trace_.enabled() && arrive >= now) {
+      trace_.complete("recirc", now_ns,
+                      static_cast<std::uint64_t>(std::llround(arrive - now)),
+                      telemetry::TraceRecorder::kTrackRecirc);
     }
     ev_.schedule_at(static_cast<sim::TimeNs>(std::llround(arrive)),
                     [this, pkt = std::move(pkt), eport]() mutable {

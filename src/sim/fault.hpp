@@ -152,10 +152,6 @@ class FaultInjector {
   /// Exposed for tests; attach() routes the Port wire hook here.
   void process(net::PacketPtr pkt, Port& dst);
 
-  /// This injector's contribution to an aggregated drop report, prefixed
-  /// with `link` (e.g. "link1->dut").
-  void append_drop_counters(const std::string& link, std::vector<DropCounter>& out) const;
-
  private:
   void arm_flaps();
   bool draw_loss();
@@ -235,8 +231,8 @@ struct FailureReport {
   TimeNs first_attempt_ns = 0;
   TimeNs gave_up_ns = 0;
   unsigned attempts = 0;
-  std::vector<DropCounter> counters_before;
-  std::vector<DropCounter> counters_after;
+  std::vector<telemetry::DropRow> counters_before;  ///< drop ledger rows
+  std::vector<telemetry::DropRow> counters_after;
 };
 
 /// One-paragraph rendering for logs:

@@ -99,20 +99,18 @@ double Histogram::quantile(double q) const {
   return hi_;
 }
 
-std::uint64_t total_drops(const std::vector<DropCounter>& report) {
+std::uint64_t total_drops(const std::vector<telemetry::DropRow>& report) {
   std::uint64_t total = 0;
-  for (const DropCounter& c : report) total += c.count;
+  for (const telemetry::DropRow& c : report) total += c.count;
   return total;
 }
 
-std::string format_drop_report(const std::vector<DropCounter>& report, bool include_zero) {
+std::string format_drop_ledger(const std::vector<telemetry::DropRow>& report,
+                               bool include_zero) {
   std::string out;
-  for (const DropCounter& c : report) {
+  for (const telemetry::DropRow& c : report) {
     if (c.count == 0 && !include_zero) continue;
-    char line[128];
-    std::snprintf(line, sizeof(line), "  %s: %llu\n", c.source.c_str(),
-                  static_cast<unsigned long long>(c.count));
-    out += line;
+    out += "  " + c.name + ": " + std::to_string(c.count) + "\n";
   }
   return out.empty() ? "no drops" : out;
 }

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
+
 namespace ht::sim {
 
 /// Streaming mean/variance/min/max (Welford).
@@ -90,23 +92,13 @@ struct AllocCacheReport {
 /// "packet-pool: 99.8% hit (12345 hit / 25 miss), high-water 31".
 std::string format_alloc_cache(const AllocCacheReport& report);
 
-/// One named drop/overflow/corruption counter from anywhere in the stack
-/// (port MAC queues, ASIC, digest engine, register FIFOs, fault
-/// injectors). The layers expose their own getters; aggregators (e.g.
-/// HyperTester::drop_report) adapt them into one flat report so no loss
-/// path is silent — the report is the audit trail for every packet that
-/// went missing.
-struct DropCounter {
-  std::string source;  ///< e.g. "port1.queue_full", "trigfifo.0.overflow"
-  std::uint64_t count = 0;
-};
+/// Sum over a drop ledger (MetricsRegistry::drop_counters()); 0 means a
+/// fully clean run.
+std::uint64_t total_drops(const std::vector<telemetry::DropRow>& report);
 
-/// Sum over the report; 0 means a fully clean run.
-std::uint64_t total_drops(const std::vector<DropCounter>& report);
-
-/// Multi-line rendering ("  source: count"), omitting zero counters
+/// Multi-line rendering ("  name: count"), omitting zero counters
 /// unless `include_zero`. Returns "no drops" when everything is clean.
-std::string format_drop_report(const std::vector<DropCounter>& report,
+std::string format_drop_ledger(const std::vector<telemetry::DropRow>& report,
                                bool include_zero = false);
 
 }  // namespace ht::sim

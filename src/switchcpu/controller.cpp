@@ -48,9 +48,9 @@ void Controller::subscribe(std::uint32_t type,
 
 void Controller::register_metrics(telemetry::MetricsRegistry& reg) {
   reg.mirror_counter(
-      "ht_controller_rpc_lost_total", [this] { return rpc_lost_; },
+      kRpcLostMetric, [this] { return rpc_lost_; },
       {.help = "control-plane read RPCs swallowed by injected loss",
-       .drop_source = "controller.rpc_lost"});
+       .drop = true});
   reg.mirror_counter("ht_controller_digests_total", [this] { return digest_count_; },
                      {.help = "push-mode digest messages received by the switch CPU"});
 }

@@ -75,8 +75,10 @@ class Controller {
   std::uint64_t rpc_lost() const { return rpc_lost_; }
 
   // --- telemetry -------------------------------------------------------------
-  /// Mirror the controller's counters into `reg` ("controller.rpc_lost"
-  /// joins the drop audit trail). A method rather than ctor-side
+  static constexpr const char* kRpcLostMetric = "ht_controller_rpc_lost_total";
+
+  /// Mirror the controller's counters into `reg` (kRpcLostMetric joins
+  /// the drop ledger). A method rather than ctor-side
   /// registration so tests that attach extra controllers to one ASIC do
   /// not register duplicates; HyperTester calls it once.
   void register_metrics(telemetry::MetricsRegistry& reg);

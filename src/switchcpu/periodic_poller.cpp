@@ -18,7 +18,7 @@ void PeriodicPoller::poll() {
   if (!running_) return;
   auto& ev = controller_.asic().events();
   if (retry_enabled_) {
-    issue_attempt(ev.now(), 0, {{"controller.rpc_lost", controller_.rpc_lost()}});
+    issue_attempt(ev.now(), 0, {{Controller::kRpcLostMetric, controller_.rpc_lost()}});
   } else {
     Sample sample;
     sample.requested_at = ev.now();
@@ -34,7 +34,7 @@ void PeriodicPoller::poll() {
 }
 
 void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt,
-                                   std::vector<sim::DropCounter> before) {
+                                   std::vector<telemetry::DropRow> before) {
   auto& ev = controller_.asic().events();
   // One settled flag per attempt: set by whichever of {delivery, timeout}
   // wins, so a straggler delivery after the deadline is discarded instead
@@ -74,7 +74,7 @@ void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt
     report.gave_up_ns = controller_.asic().events().now();
     report.attempts = attempt + 1;
     report.counters_before = std::move(before);
-    report.counters_after = {{"controller.rpc_lost", controller_.rpc_lost()}};
+    report.counters_after = {{Controller::kRpcLostMetric, controller_.rpc_lost()}};
     ++failures_;
     failure_reports_.push_back(std::move(report));
     if (on_failure) on_failure(failure_reports_.back());
@@ -86,13 +86,13 @@ void PeriodicPoller::register_metrics(telemetry::MetricsRegistry& reg) {
   reg.mirror_counter("ht_poller_timeouts_total", [this] { return timeouts_; },
                      {.labels = labels,
                       .help = "poll attempts that missed their deadline",
-                      .drop_source = "poller." + reg_ + ".timeouts"});
+                      .drop = true});
   reg.mirror_counter("ht_poller_retries_total", [this] { return retries_; },
                      {.labels = labels, .help = "timed-out polls retried with backoff"});
   reg.mirror_counter("ht_poller_failures_total", [this] { return failures_; },
                      {.labels = labels,
                       .help = "polls that exhausted every retry (FailureReport emitted)",
-                      .drop_source = "poller." + reg_ + ".failures"});
+                      .drop = true});
 }
 
 std::vector<double> PeriodicPoller::rate_series(std::size_t index) const {

@@ -64,15 +64,15 @@ class PeriodicPoller {
   std::function<void(const sim::FailureReport&)> on_failure;
 
   /// Mirror the poller's degradation counters into `reg`, labeled with the
-  /// polled register's name; timeouts and failures join the drop audit
-  /// trail ("poller.<reg>.timeouts" / ".failures"). Call once per poller
-  /// — HyperTester does not own pollers, so the owner wires this.
+  /// polled register's name; timeouts and failures join the drop ledger.
+  /// Call once per poller — HyperTester does not own pollers, so the
+  /// owner wires this.
   void register_metrics(telemetry::MetricsRegistry& reg);
 
  private:
   void poll();
   void issue_attempt(sim::TimeNs first_requested, unsigned attempt,
-                     std::vector<sim::DropCounter> before);
+                     std::vector<telemetry::DropRow> before);
 
   Controller& controller_;
   std::string reg_;

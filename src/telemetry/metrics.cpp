@@ -64,7 +64,7 @@ MetricsRegistry::Entry& MetricsRegistry::add_entry(std::string name, MetricOpts 
   e.full_name = render_name(name, opts.labels);
   e.name = std::move(name);
   e.help = std::move(opts.help);
-  e.drop_source = std::move(opts.drop_source);
+  e.drop = opts.drop;
   e.kind = kind;
   return e;
 }
@@ -83,7 +83,7 @@ Gauge& MetricsRegistry::gauge(std::string name, MetricOpts opts) {
 
 Histogram& MetricsRegistry::histogram(std::string name, MetricOpts opts) {
   Entry& e = add_entry(std::move(name), std::move(opts), Kind::kHistogram);
-  e.histogram.emplace(&enabled_);
+  e.histogram.emplace();
   return *e.histogram;
 }
 
@@ -120,11 +120,10 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& full_name) c
   return nullptr;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::drop_counters() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
+std::vector<DropRow> MetricsRegistry::drop_counters() const {
+  std::vector<DropRow> out;
   for (const Entry& e : entries_) {
-    if (e.drop_source.empty() || e.kind != Kind::kCounter) continue;
-    out.emplace_back(e.drop_source, e.counter_value());
+    if (e.drop && e.kind == Kind::kCounter) out.push_back({e.full_name, e.counter_value()});
   }
   return out;
 }

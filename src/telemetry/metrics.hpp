@@ -11,16 +11,14 @@
 //    bucket counts only.
 //  * Cheap hot path. A counter increment is one relaxed atomic add; a
 //    histogram record is a handful of arithmetic ops and two array
-//    increments, no allocation ever after construction. The per-registry
-//    `enabled` flag turns histogram recording into a single load+branch,
-//    and the compile-time HT_TELEMETRY switch (see telemetry.hpp) removes
-//    instrumentation-only call sites entirely.
+//    increments, no allocation ever after construction.
 //  * Single source of truth. Counters that used to live as bespoke
 //    members (ASIC drop counters, port MAC counters, HTPR integrity
 //    counters) either live in the registry directly or are *mirrored*
 //    into it with a sampling callback, so every report — Prometheus
-//    text, JSON dump, the flat sim::DropCounter audit trail — is derived
-//    from one place and cannot diverge.
+//    text, JSON dump, the drop ledger — is derived from one place and
+//    cannot diverge. A metric has one name: the drop ledger reports each
+//    drop counter under the same full name the exporters print.
 //
 // Naming scheme: `ht_<component>_<name>` with Prometheus-style labels,
 // e.g. `ht_port_wire_latency_ns{port="1"}` (DESIGN.md §10).
@@ -78,20 +76,13 @@ class Gauge {
 /// The layout covers the full uint64 range in 976 buckets (7.8 KB), is
 /// identical in every process, and never changes at runtime — which is
 /// what keeps metric dumps byte-stable across identical runs.
-///
-/// Recording honours an external enable flag (the owning registry's):
-/// when disabled, record() is one load + branch and touches nothing.
 class Histogram {
  public:
   static constexpr unsigned kSubBits = 4;                    // 16 sub-buckets/octave
   static constexpr std::size_t kSub = std::size_t{1} << kSubBits;
   static constexpr std::size_t kBuckets = kSub + (64 - kSubBits) * kSub;  // 976
 
-  Histogram() : enabled_(&kAlwaysOn) {}
-  explicit Histogram(const bool* enabled) : enabled_(enabled ? enabled : &kAlwaysOn) {}
-
   void record(std::uint64_t v) {
-    if (!*enabled_) return;
     ++counts_[bucket_index(v)];
     ++count_;
     sum_ += v;
@@ -126,9 +117,6 @@ class Histogram {
   const std::array<std::uint64_t, kBuckets>& buckets() const { return counts_; }
 
  private:
-  static constexpr bool kAlwaysOn = true;
-
-  const bool* enabled_;
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
@@ -146,11 +134,19 @@ struct Label {
 struct MetricOpts {
   std::vector<Label> labels;
   std::string help;
-  /// When set, this metric is part of the drop/overflow/corruption audit
-  /// trail under this legacy source name (e.g. "port1.queue_full") and is
-  /// returned by MetricsRegistry::drop_counters(), which
-  /// HyperTester::drop_report() reads.
-  std::string drop_source;
+  /// Counts packets or records the system lost (dropped, overflowed,
+  /// discarded as corrupt): the counter joins the drop ledger that
+  /// MetricsRegistry::drop_counters() returns. Pathologies whose packets
+  /// are still delivered (reorders, duplicates) are not drops.
+  bool drop = false;
+};
+
+/// One drop-ledger row: a drop counter's full metric name (labels
+/// included, e.g. `ht_port_queue_full_drops_total{port="0"}`) and its
+/// current count.
+struct DropRow {
+  std::string name;
+  std::uint64_t count = 0;
 };
 
 /// Named collection of metrics. Components create (or mirror) their
@@ -173,15 +169,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Histogram recording switch. Counters and gauges keep counting when
-  /// disabled — they are the system's bookkeeping (drop reports, query
-  /// totals), not optional observability. Disabling freezes histograms
-  /// and is the documented way to take distribution recording out of a
-  /// perf-sensitive run at runtime (HT_TELEMETRY=OFF removes the call
-  /// sites at compile time instead).
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   Counter& counter(std::string name, MetricOpts opts = {});
   Gauge& gauge(std::string name, MetricOpts opts = {});
   Histogram& histogram(std::string name, MetricOpts opts = {});
@@ -198,7 +185,7 @@ class MetricsRegistry {
     std::string name;          ///< base name, ht_<component>_<name>
     std::string full_name;     ///< name plus rendered {labels}
     std::string help;
-    std::string drop_source;   ///< non-empty: part of the drop report
+    bool drop = false;         ///< part of the drop ledger
     Kind kind = Kind::kCounter;
     std::optional<Counter> counter;
     std::optional<Gauge> gauge;
@@ -229,14 +216,13 @@ class MetricsRegistry {
   std::optional<std::int64_t> gauge_value(const std::string& full_name) const;
   const Histogram* find_histogram(const std::string& full_name) const;
 
-  /// The drop/overflow/corruption audit trail: every entry registered
-  /// with a drop_source, in registration order, as (source, count).
-  std::vector<std::pair<std::string, std::uint64_t>> drop_counters() const;
+  /// The drop ledger: every counter registered with `drop`, in
+  /// registration order, under its full name.
+  std::vector<DropRow> drop_counters() const;
 
  private:
   Entry& add_entry(std::string name, MetricOpts opts, Kind kind);
 
-  bool enabled_ = true;
   std::deque<Entry> entries_;
 };
 

@@ -1,31 +1,14 @@
-// Umbrella header + the compile-time telemetry switch.
+// Umbrella header for the telemetry layer: metrics (counters, gauges,
+// histograms and the registry that names them), the trace recorder, and
+// the Prometheus/JSON exporters.
 //
-// HT_TELEMETRY is a CMake option (default ON). When OFF, the build
-// defines HT_TELEMETRY_ENABLED=0 and every instrumentation-only call
-// site in the stack — histogram records, trace spans, mirror
-// registration — is guarded with `if constexpr (telemetry::kEnabled)`,
-// so the disabled path compiles to nothing: no branches, no loads, no
-// allocation, and fig9 pkts/sec is bit-for-bit the un-instrumented
-// engine. Counters that carry *system semantics* (drop/overflow audit
-// counters, query bookkeeping) are NOT behind the switch: a drop report
-// must stay honest in every build.
-//
-// The runtime knob is per registry: MetricsRegistry::set_enabled(false)
-// freezes histogram recording (one load + branch per record), and
-// TraceRecorder is off unless a consumer turns it on.
+// There is one telemetry build. Every instrumentation call site is
+// always compiled in and histograms always record, so the exported
+// metric text — and with it every state digest — is the same for every
+// build. The only runtime switch is TraceRecorder's: tracing is off
+// unless a consumer (ntapi_cli --trace, a test) turns it on.
 #pragma once
-
-#ifndef HT_TELEMETRY_ENABLED
-#define HT_TELEMETRY_ENABLED 1
-#endif
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-
-namespace ht::telemetry {
-
-/// True when the build carries the instrumentation call sites.
-inline constexpr bool kEnabled = HT_TELEMETRY_ENABLED != 0;
-
-}  // namespace ht::telemetry

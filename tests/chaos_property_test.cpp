@@ -13,7 +13,7 @@
 //
 //  2. Determinism: a chaos run is a function of the profile seed. Two
 //     runs with identical seeds produce bit-identical event counts, port
-//     counters, register state, and drop reports.
+//     counters, register state, and drop ledger.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,7 +186,9 @@ ChaosSnapshot chaos_golden_run() {
     snap.port_counters.push_back(port.rx_packets());
     snap.port_counters.push_back(port.rx_bytes());
   }
-  for (const auto& c : loop.tester.drop_report()) snap.drops.emplace_back(c.source, c.count);
+  for (const auto& c : loop.tester.metrics().drop_counters()) {
+    snap.drops.emplace_back(c.name, c.count);
+  }
   for (const std::string& name : loop.tester.asic().registers().names()) {
     const auto& arr = loop.tester.asic().registers().get(name);
     std::vector<std::uint64_t> cells(arr.size());
@@ -212,8 +214,8 @@ TEST(ChaosDeterminism, IdenticalSeedsProduceBitIdenticalRuns) {
   EXPECT_EQ(a, b);
   // The run must actually have exercised the chaos paths to prove anything.
   std::uint64_t fault_drops = 0;
-  for (const auto& [source, count] : a.drops) {
-    if (source.find("fault_") != std::string::npos) fault_drops += count;
+  for (const auto& [name, count] : a.drops) {
+    if (name.starts_with("ht_chaos_")) fault_drops += count;
   }
   EXPECT_GT(fault_drops, 0u);
   EXPECT_GT(a.matched, 0u);

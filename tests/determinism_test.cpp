@@ -226,7 +226,9 @@ TEST(ShardedGoldenRun, CatalogByteIdenticalAcrossShardCounts) {
     // (receive-only tasks like port_bw legitimately emit no replicas).
     std::size_t golden_replicas = 0;
     for (const auto& recs : golden.per_sink) golden_replicas += recs.size();
-    if (golden.sends_traffic) EXPECT_GT(golden_replicas, 0u);
+    if (golden.sends_traffic) {
+      EXPECT_GT(golden_replicas, 0u);
+    }
 
     for (const std::size_t nshards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
       SCOPED_TRACE("shards=" + std::to_string(nshards));

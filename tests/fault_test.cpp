@@ -25,6 +25,7 @@
 #include "sim/fault.hpp"
 #include "sim/port.hpp"
 #include "switchcpu/periodic_poller.hpp"
+#include "telemetry/export.hpp"
 #include "testutil.hpp"
 
 namespace ht {
@@ -245,14 +246,20 @@ TEST(FaultInjector, DropCountersExposeEveryPathology) {
   sim::FaultInjector inj(w.ev, cfg);
   inj.attach(w.a);
   w.send_burst(500);
-  std::vector<sim::DropCounter> report;
-  inj.append_drop_counters("port0.tx", report);
-  ASSERT_EQ(report.size(), 5u);
-  EXPECT_EQ(report[0].source, "port0.tx.fault_lost");
-  EXPECT_EQ(report[0].count, inj.stats().lost);
-  EXPECT_GT(sim::total_drops(report), 0u);
-  EXPECT_NE(sim::format_drop_report(report).find("fault_lost"), std::string::npos);
-  EXPECT_EQ(sim::format_drop_report({}), "no drops");
+  // The injector's two drop counters as HyperTester registers them.
+  const std::vector<telemetry::DropRow> report = {
+      {"ht_chaos_lost_total{link=\"port0.tx\"}", inj.stats().lost},
+      {"ht_chaos_flap_drops_total{link=\"port0.tx\"}", inj.stats().flap_drops}};
+  EXPECT_GT(inj.stats().lost, 0u);
+  EXPECT_EQ(sim::total_drops(report), inj.stats().lost);
+  const std::string text = sim::format_drop_ledger(report);
+  EXPECT_NE(text.find("  ht_chaos_lost_total{link=\"port0.tx\"}: " +
+                      std::to_string(inj.stats().lost) + "\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("flap_drops"), std::string::npos);  // zero rows omitted...
+  EXPECT_NE(sim::format_drop_ledger(report, /*include_zero=*/true).find("flap_drops"),
+            std::string::npos);  // ...unless asked for
+  EXPECT_EQ(sim::format_drop_ledger({}), "no drops");
 }
 
 TEST(RetryPolicy, BackoffIsCappedExponential) {
@@ -322,10 +329,10 @@ TEST(AsicFaults, IngressFaultHookDropsAndCounts) {
   EXPECT_EQ(bed.asic.injected_drops(), 1u);
   const auto report = bed.asic.metrics().drop_counters();
   const auto it = std::find_if(report.begin(), report.end(), [](const auto& c) {
-    return c.first == "asic.injected_drops";
+    return c.name == "ht_asic_injected_drops_total";
   });
   ASSERT_NE(it, report.end());
-  EXPECT_EQ(it->second, 1u);
+  EXPECT_EQ(it->count, 1u);
 }
 
 TEST(PollerRetry, TotalRpcLossExhaustsRetriesIntoFailureReport) {
@@ -428,10 +435,10 @@ TEST(HyperTesterRetry, SurvivesMidTaskLinkFlap) {
   // Probes kept flowing after the flap; the dropped window is visible in
   // the aggregated report, not silently missing.
   EXPECT_GT(bed.tester.query_matched(app.q_received), 500u);
-  const auto report = bed.tester.drop_report();
+  const auto report = bed.tester.metrics().drop_counters();
   std::uint64_t flap_drops = 0;
   for (const auto& c : report) {
-    if (c.source.find("fault_flap_drops") != std::string::npos) flap_drops += c.count;
+    if (c.name.starts_with("ht_chaos_flap_drops_total")) flap_drops += c.count;
   }
   EXPECT_GT(flap_drops, 0u);
 }
@@ -469,26 +476,81 @@ TEST(HyperTesterRetry, DropReportCoversEveryLayer) {
   ChaosTestbed bed(app.task);
   bed.tester.start();
   bed.tester.run_for(sim::us(400));
-  const auto report = bed.tester.drop_report();
-  auto has = [&report](const std::string& source) {
+  const auto report = bed.tester.metrics().drop_counters();
+  auto has = [&report](const std::string& name) {
     return std::any_of(report.begin(), report.end(),
-                       [&](const sim::DropCounter& c) { return c.source == source; });
+                       [&](const telemetry::DropRow& c) { return c.name == name; });
   };
   // One flat report spans the ASIC, the MACs, the control plane, and the
   // chaos links.
-  EXPECT_TRUE(has("asic.pipeline_drops"));
-  EXPECT_TRUE(has("asic.digest_drops"));
-  EXPECT_TRUE(has("port0.queue_full"));
-  EXPECT_TRUE(has("port1.fcs"));
-  EXPECT_TRUE(has("controller.rpc_lost"));
-  EXPECT_TRUE(has("port0.tx.fault_lost"));
+  EXPECT_TRUE(has("ht_asic_pipeline_drops_total"));
+  EXPECT_TRUE(has("ht_asic_digest_drops_total"));
+  EXPECT_TRUE(has("ht_port_queue_full_drops_total{port=\"0\"}"));
+  EXPECT_TRUE(has("ht_port_fcs_drops_total{port=\"1\"}"));
+  EXPECT_TRUE(has("ht_controller_rpc_lost_total"));
+  EXPECT_TRUE(has("ht_chaos_lost_total{link=\"port0.tx\"}"));
   // And the injected loss is in it — nothing dropped silently.
   std::uint64_t fault_lost = 0;
   for (const auto& c : report) {
-    if (c.source.find("fault_lost") != std::string::npos) fault_lost += c.count;
+    if (c.name.starts_with("ht_chaos_lost_total")) fault_lost += c.count;
   }
   EXPECT_GT(fault_lost, 0u);
   EXPECT_EQ(bed.tester.chaos_links().size(), 4u);  // tx+rx per connected port
+}
+
+TEST(HyperTesterRetry, DropLedgerRowsAreExportedMetricNames) {
+  auto app = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 1000, 200);
+  ntapi::ChaosSpec chaos;
+  chaos.config.seed = 23;
+  chaos.config.loss.rate = 0.1;
+  app.task.set_chaos(chaos);
+  ChaosTestbed bed(app.task);
+  bed.tester.start();
+  bed.tester.run_for(sim::us(400));
+  // One name per metric: every ledger row is the metric itself, readable
+  // by name and printed under that name by the exporter.
+  const auto& m = bed.tester.metrics();
+  const auto report = m.drop_counters();
+  ASSERT_FALSE(report.empty());
+  const std::string prom = telemetry::to_prometheus(m);
+  for (const telemetry::DropRow& row : report) {
+    EXPECT_EQ(m.counter_value(row.name), row.count) << row.name;
+    EXPECT_NE(prom.find(row.name + " " + std::to_string(row.count) + "\n"), std::string::npos)
+        << row.name;
+  }
+  EXPECT_GT(sim::total_drops(report), 0u);
+}
+
+TEST(HyperTesterRetry, ReorderAndDuplicationAreNotDrops) {
+  auto app = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 1000, 200);
+  ntapi::ChaosSpec chaos;
+  chaos.config.seed = 24;
+  chaos.config.reorder = {.rate = 0.2, .min_delay_ns = 100, .max_delay_ns = 2'000};
+  chaos.config.duplicate.rate = 0.05;
+  app.task.set_chaos(chaos);
+  ChaosTestbed bed(app.task);
+  bed.tester.start();
+  bed.tester.run_for(sim::us(400));
+  // Every packet that enters a chaos link is delivered (duplicates
+  // twice) or counted on the drop ledger under that link's label — and a
+  // lossless link contributes nothing to the ledger.
+  const auto report = bed.tester.metrics().drop_counters();
+  std::uint64_t reordered = 0;
+  std::uint64_t duplicated = 0;
+  for (const auto& link : bed.tester.chaos_links()) {
+    const sim::FaultStats& st = link.injector->stats();
+    const std::string label = "{link=\"" + link.name + "\"}";
+    std::uint64_t drops = 0;
+    for (const telemetry::DropRow& row : report) {
+      if (row.name.ends_with(label)) drops += row.count;
+    }
+    EXPECT_EQ(st.offered + st.duplicated, st.delivered + drops) << link.name;
+    EXPECT_EQ(drops, 0u) << link.name;
+    reordered += st.reordered;
+    duplicated += st.duplicated;
+  }
+  EXPECT_GT(reordered, 0u);
+  EXPECT_GT(duplicated, 0u);
 }
 
 }  // namespace

@@ -117,38 +117,23 @@ TEST(HistogramQuantiles, SmallValuesExactQuantiles) {
 TEST(MetricsRegistry, LookupAndDropCounters) {
   MetricsRegistry reg;
   auto& c = reg.counter("ht_test_drops_total",
-                        {.labels = {{"port", "0"}}, .drop_source = "port0.test"});
+                        {.labels = {{"port", "0"}}, .drop = true});
   std::uint64_t shadow = 41;
   reg.mirror_counter("ht_test_mirror_total", [&shadow] { return shadow; },
-                     {.drop_source = "test.mirror"});
+                     {.drop = true});
+  reg.counter("ht_test_delivered_total").inc();  // not a drop: stays off the ledger
   c.inc(3);
   ++shadow;
   EXPECT_EQ(reg.counter_value("ht_test_drops_total{port=\"0\"}"), 3u);
   EXPECT_EQ(reg.counter_value("ht_test_mirror_total"), 42u);
   EXPECT_FALSE(reg.counter_value("ht_test_absent_total").has_value());
-  // Drop sources surface in registration order.
+  // Drop counters surface in registration order under their full names.
   const auto drops = reg.drop_counters();
   ASSERT_EQ(drops.size(), 2u);
-  EXPECT_EQ(drops[0].first, "port0.test");
-  EXPECT_EQ(drops[0].second, 3u);
-  EXPECT_EQ(drops[1].first, "test.mirror");
-  EXPECT_EQ(drops[1].second, 42u);
-}
-
-TEST(MetricsRegistry, DisabledFreezesHistogramsButNotCounters) {
-  MetricsRegistry reg;
-  auto& c = reg.counter("ht_test_events_total");
-  auto& h = reg.histogram("ht_test_latency_ns");
-  h.record(10);
-  reg.set_enabled(false);
-  h.record(20);
-  c.inc();
-  EXPECT_EQ(h.count(), 1u);  // the disabled record touched nothing
-  EXPECT_EQ(h.max(), 10u);
-  EXPECT_EQ(c.value(), 1u);  // counters are bookkeeping, not observability
-  reg.set_enabled(true);
-  h.record(20);
-  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(drops[0].name, "ht_test_drops_total{port=\"0\"}");
+  EXPECT_EQ(drops[0].count, 3u);
+  EXPECT_EQ(drops[1].name, "ht_test_mirror_total");
+  EXPECT_EQ(drops[1].count, 42u);
 }
 
 TEST(MetricsRegistry, ConcurrentCounterIncrementsAreLossless) {
