@@ -56,11 +56,15 @@ int main() {
                   "counter-based + exact keys = zero error; sketch overcounts");
 
   // Workload: flow i is updated (i % 5) + 1 times.
-  std::vector<std::vector<std::uint64_t>> keys;
-  keys.reserve(kFlows);
+  std::vector<std::uint64_t> words;  // row-major (sip, dip)
+  words.reserve(2 * kFlows);
   for (std::size_t i = 0; i < kFlows; ++i) {
-    keys.push_back({0x0A000000 + i, 0x14000000 + (i * 31) % 100000});
+    words.push_back(0x0A000000 + i);
+    words.push_back(0x14000000 + (i * 31) % 100000);
   }
+  const auto key = [&words](std::size_t i) {
+    return std::span<const std::uint64_t>(words).subspan(2 * i, 2);
+  };
 
   // --- counter store on the full ASIC path ----------------------------------
   sim::EventQueue ev;
@@ -72,7 +76,7 @@ int main() {
   cfg.fifo_capacity = 1 << 12;
   cfg.exact_capacity = 1 << 16;
   htpr::CounterStore store(asic, cfg);
-  const auto analysis = htpr::analyze_collisions(cfg.hash, keys);
+  const auto analysis = htpr::analyze_collisions(cfg.hash, words, 2);
   store.install_exact_entries(analysis.exact_keys);
 
   std::map<std::uint64_t, std::uint64_t> cpu;
@@ -82,10 +86,10 @@ int main() {
                          [&cpu](std::uint32_t, std::vector<std::uint64_t> v) {
                            cpu[v[0]] += v[1];
                          }};
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  for (std::size_t i = 0; i < kFlows; ++i) {
     for (std::size_t rep = 0; rep < i % 5 + 1; ++rep) {
-      phv.set(fields[0], keys[i][0]);
-      phv.set(fields[1], keys[i][1]);
+      phv.set(fields[0], key(i)[0]);
+      phv.set(fields[1], key(i)[1]);
       store.update(ctx, 1);
       store.maintenance_pass(ctx);
     }
@@ -93,20 +97,20 @@ int main() {
   while (!store.fifo().empty()) store.maintenance_pass(ctx);
 
   std::size_t store_errors = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (store.total_for_key(keys[i], cpu) != i % 5 + 1) ++store_errors;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    if (store.total_for_key(key(i), cpu) != i % 5 + 1) ++store_errors;
   }
   const std::size_t store_bytes = cfg.hash.buckets * (2 + 8) + analysis.exact_table_bytes;
 
   // --- Count-Min with comparable memory --------------------------------------
   CountMin sketch(3, cfg.hash.buckets / 4);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    for (std::size_t rep = 0; rep < i % 5 + 1; ++rep) sketch.add(keys[i], fields, 1);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    for (std::size_t rep = 0; rep < i % 5 + 1; ++rep) sketch.add(key(i), fields, 1);
   }
   std::size_t sketch_errors = 0;
   double sketch_total_overcount = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto got = sketch.query(keys[i], fields);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const auto got = sketch.query(key(i), fields);
     if (got != i % 5 + 1) {
       ++sketch_errors;
       sketch_total_overcount += static_cast<double>(got - (i % 5 + 1));

@@ -10,16 +10,17 @@ namespace {
 
 using namespace ht;
 
-std::vector<std::vector<std::uint64_t>> flow_space(std::size_t n, std::uint32_t seed) {
+/// `n` (sip, dip, sport) keys, row-major.
+std::vector<std::uint64_t> flow_space(std::size_t n, std::uint32_t seed) {
   // Five-tuple-style keys: vary addresses and ports like a scan + web mix.
-  std::vector<std::vector<std::uint64_t>> keys;
-  keys.reserve(n);
+  std::vector<std::uint64_t> words;
+  words.reserve(3 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back({0x0A000000u + static_cast<std::uint32_t>(i) + seed,
-                    0x30000000u + static_cast<std::uint32_t>(i * 131) % 1048576,
-                    1024 + i % 60000});
+    words.push_back(0x0A000000u + static_cast<std::uint32_t>(i) + seed);
+    words.push_back(0x30000000u + static_cast<std::uint32_t>(i * 131) % 1048576);
+    words.push_back(1024 + i % 60000);
   }
-  return keys;
+  return words;
 }
 
 }  // namespace
@@ -53,7 +54,8 @@ int main() {
           hash.fp_seed = 0x9E3779B9u + static_cast<std::uint32_t>(trial) * 101;
           hash.bucket_seed = 0x85EBCA6Bu + static_cast<std::uint32_t>(trial) * 211;
           const auto analysis =
-              htpr::analyze_collisions(hash, flow_space(n, static_cast<std::uint32_t>(trial)));
+              htpr::analyze_collisions(hash, flow_space(n, static_cast<std::uint32_t>(trial)),
+                                       key_fields.size());
           total += analysis.exact_keys.size();
           if (buckets == (1u << 18)) mem = analysis.exact_table_bytes;
         }

@@ -1,13 +1,17 @@
 // Micro-benchmarks of the hot simulator paths (google-benchmark), plus an
 // end-to-end packets-per-second measurement of the Fig. 9 single-port
-// workload against the recorded pre-refactor baseline.
+// workload against the recorded pre-refactor baseline, and the host cost
+// of compiling an `ip_scan` task (the false-positive precompute).
 //
 // Not a paper figure: this tracks the substrate's own performance so the
 // figure harnesses stay fast enough to sweep. Run with `--json <path>` (see
 // scripts/bench.sh) to write the machine-readable BENCH_perf.json.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 
 #include "apps/tasks.hpp"
 #include "common.hpp"
@@ -15,6 +19,7 @@
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 #include "net/packet_pool.hpp"
+#include "ntapi/compiler.hpp"
 #include "rmt/asic.hpp"
 #include "sharded.hpp"
 #include "sim/event_queue.hpp"
@@ -232,12 +237,62 @@ void run_fig10_scaling(ht::bench::BenchJson& json, int reps) {
   }
 }
 
+/// Host cost of `ntapi::Compiler::compile()` on an `ip_scan` task, which
+/// the false-positive precompute dominates: one key per scanned address is
+/// enumerated and run through the collision analysis (DESIGN.md section 16).
+/// 2^17 addresses is the scan_linked benchmark's sweep; 2^22 lifts the
+/// compiler's key-space cap to 2^22 so the whole precompute runs at the
+/// scale of the default 4M cap (which would reject that space). Reports
+/// median/min/max wall seconds over `reps`, CPU seconds per compile, and
+/// the process's peak RSS after the series (ru_maxrss, a high-water mark:
+/// the series runs first so the 2^17 figure is not inflated by later work).
+void run_compile_series(ht::bench::BenchJson& json, int reps) {
+  using namespace ht;
+  using clock = std::chrono::steady_clock;
+  bench::headline("ip_scan compile (false-positive precompute)",
+                  "key-space enumeration + collision analysis, one key per address");
+  for (const unsigned log2 : {17u, 22u}) {
+    const std::uint32_t count = 1u << log2;
+    const auto app = apps::ip_scan(0x0A000000, count, 80, {0}, /*interval_ns=*/0);
+    ntapi::Compiler compiler;
+    compiler.key_space_cap = std::max<std::size_t>(compiler.key_space_cap, count);
+    std::vector<double> wall;
+    double cpu = 0.0;
+    std::size_t exact_keys = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      const auto t0 = clock::now();
+      const std::clock_t c0 = std::clock();
+      const auto compiled = compiler.compile(app.task);
+      cpu += static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
+      wall.push_back(std::chrono::duration<double>(clock::now() - t0).count());
+      const auto& cq = compiled.queries[app.q_alive.index];
+      if (!cq.false_positive_free) bench::row("  WARNING: 2^%u space was not enumerated", log2);
+      exact_keys = cq.exact_keys.size();
+    }
+    std::sort(wall.begin(), wall.end());
+    const double median = wall[wall.size() / 2];
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const double peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+    bench::row("  2^%u addresses: median %.3fs (min %.3f max %.3f) cpu %.3fs/compile, "
+               "%zu exact keys, peak RSS %.1f MiB",
+               log2, median, wall.front(), wall.back(), cpu / reps, exact_keys, peak_rss_mb);
+    const std::string series = "compile_ip_scan_2p" + std::to_string(log2);
+    json.add(series + "_median_s", median, "s", median);
+    json.add(series + "_min_s", wall.front(), "s", wall.front());
+    json.add(series + "_max_s", wall.back(), "s", wall.back());
+    json.add(series + "_cpu_s", cpu / reps, "s", 0.0);
+    json.add(series + "_peak_rss_mb", peak_rss_mb, "MiB", 0.0);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   ht::bench::BenchJson json("perf", ht::bench::take_json_path(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  run_compile_series(json, 5);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_fig9_workload(json, 5);

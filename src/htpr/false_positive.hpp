@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "htpr/counter_store.hpp"
@@ -27,9 +28,12 @@ struct CollisionAnalysis {
   std::size_t exact_table_bytes = 0;
 };
 
-/// Analyze a key space against the store's hash parameters. `key_space`
-/// holds one value-vector per key (parallel to hash.key_fields).
+/// Analyze a key space against the store's hash parameters. `words` holds
+/// the keys row-major, `arity` words each (parallel to hash.key_fields).
+/// Exact keys come out grouped by fingerprint in the order the
+/// fingerprint map iterates, members of a group in key order; that order
+/// becomes the exact table's slot order.
 CollisionAnalysis analyze_collisions(const CounterHashParams& hash,
-                                     const std::vector<std::vector<std::uint64_t>>& key_space);
+                                     std::span<const std::uint64_t> words, std::size_t arity);
 
 }  // namespace ht::htpr

@@ -294,9 +294,9 @@ CompiledTask Compiler::lower(const Task& task) const {
       auto hash = cq.config.store.hash;
       hash.key_fields = key_fields;
       const KeySpace space = enumerate_key_space(task, query, key_fields, specs, key_space_cap);
-      cq.key_space_size = space.keys.size();
+      cq.key_space_size = space.size();
       if (space.exact) {
-        auto collisions = htpr::analyze_collisions(hash, space.keys);
+        auto collisions = htpr::analyze_collisions(hash, space.words, space.arity);
         cq.exact_keys = std::move(collisions.exact_keys);
         cq.config.store.exact_capacity =
             std::max<std::size_t>(cq.exact_keys.size() * 2, 1024);

@@ -45,6 +45,7 @@ struct CompiledQuery {
   /// False when the key space could not be enumerated (foreign traffic or
   /// space beyond the cap) — the query then runs best-effort.
   bool false_positive_free = true;
+  /// Keys in the enumerated space; 0 when it was not enumerable.
   std::size_t key_space_size = 0;
 };
 

@@ -1,7 +1,8 @@
 #include "ntapi/header_space.hpp"
 
 #include <algorithm>
-#include <set>
+#include <compare>
+#include <span>
 
 #include "net/headers.hpp"
 
@@ -128,26 +129,64 @@ std::uint64_t template_default(const htps::TemplateSpec& spec, net::FieldId fiel
   return net::has_field(pkt, field) ? net::get_field(pkt, field) : 0;
 }
 
-/// Values `field` can take in the traffic of one trigger. `as_response`
-/// looks at the reversed field (what the peer echoes back).
+/// Append the values `field` can take in the traffic of one trigger to
+/// `out` (unsorted, possibly repeated). `as_response` looks at the
+/// reversed field (what the peer echoes back).
 bool field_values(const Task& task, std::size_t trigger_index,
                   const htps::TemplateSpec& spec, net::FieldId field, bool as_response,
-                  std::size_t cap, std::set<std::uint64_t>& out) {
+                  std::size_t cap, std::vector<std::uint64_t>& out) {
   const net::FieldId src = as_response ? reversed_field(field) : field;
   const auto& trig = task.triggers()[trigger_index];
   if (const auto* binding = trig.find(src)) {
     if (const auto* value = std::get_if<Value>(&binding->source)) {
-      std::vector<std::uint64_t> vals;
-      if (!value->enumerate(vals, cap)) return false;
-      out.insert(vals.begin(), vals.end());
-      return true;
+      return value->enumerate(out, cap);
     }
     // QueryFieldRef / MetaFieldRef: the value depends on received packets
     // or on timestamps — not enumerable ahead of time.
     return false;
   }
-  out.insert(template_default(spec, src));
+  out.push_back(template_default(spec, src));
   return true;
+}
+
+/// Append the cartesian product of the sorted per-field value lists to
+/// `out` in lexicographic order (last field varies fastest), so the rows
+/// come out sorted and unique.
+void append_product(const std::vector<std::vector<std::uint64_t>>& per_field,
+                    std::vector<std::uint64_t>& out) {
+  std::size_t rows = 1;
+  for (const auto& vals : per_field) rows *= vals.size();
+  if (rows == 0) return;
+  out.reserve(out.size() + rows * per_field.size());
+  std::vector<std::size_t> idx(per_field.size(), 0);
+  while (true) {
+    for (std::size_t f = 0; f < per_field.size(); ++f) out.push_back(per_field[f][idx[f]]);
+    std::size_t f = per_field.size();
+    for (; f > 0; --f) {
+      if (++idx[f - 1] < per_field[f - 1].size()) break;
+      idx[f - 1] = 0;
+    }
+    if (f == 0) return;
+  }
+}
+
+/// Union of two sorted, unique row-major key lists, sorted and unique.
+std::vector<std::uint64_t> merge_rows(std::span<const std::uint64_t> a,
+                                      std::span<const std::uint64_t> b, std::size_t arity) {
+  std::vector<std::uint64_t> out;
+  out.reserve(a.size() + b.size());
+  while (!a.empty() && !b.empty()) {
+    const auto ra = a.first(arity), rb = b.first(arity);
+    const auto order =
+        std::lexicographical_compare_three_way(ra.begin(), ra.end(), rb.begin(), rb.end());
+    const auto row = order <= 0 ? ra : rb;
+    out.insert(out.end(), row.begin(), row.end());
+    if (order <= 0) a = a.subspan(arity);
+    if (order >= 0) b = b.subspan(arity);  // equal rows: emit once, skip both
+  }
+  out.insert(out.end(), a.begin(), a.end());
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
 }
 
 }  // namespace
@@ -155,8 +194,9 @@ bool field_values(const Task& task, std::size_t trigger_index,
 KeySpace enumerate_key_space(const Task& task, const Query& query,
                              const std::vector<net::FieldId>& key_fields,
                              const std::vector<htps::TemplateSpec>& templates, std::size_t cap) {
-  KeySpace space;
+  KeySpace space{.arity = key_fields.size()};
   if (key_fields.empty()) return space;
+  const KeySpace inexact{.arity = key_fields.size(), .exact = false};
 
   // Which triggers contribute, and in which direction.
   std::vector<std::size_t> trigger_set;
@@ -166,54 +206,36 @@ KeySpace enumerate_key_space(const Task& task, const Query& query,
   } else {
     for (std::size_t t = 0; t < task.triggers().size(); ++t) trigger_set.push_back(t);
   }
-  if (trigger_set.empty()) {
-    space.exact = false;  // nothing known about foreign traffic
-    return space;
-  }
+  if (trigger_set.empty()) return inexact;  // nothing known about foreign traffic
 
-  std::set<std::vector<std::uint64_t>> keys;
+  std::vector<std::vector<std::uint64_t>> per_field(key_fields.size());
+  std::vector<std::uint64_t> block;
   for (const std::size_t t : trigger_set) {
-    // Per-field value sets for this trigger.
-    std::vector<std::vector<std::uint64_t>> per_field;
-    bool exact = true;
+    // Sorted, unique per-field values for this trigger. Its key count is
+    // their product; past the cap the whole space is inexact.
     std::uint64_t product = 1;
-    for (const auto field : key_fields) {
-      std::set<std::uint64_t> vals;
-      if (!field_values(task, t, templates[t], field, as_response, cap, vals)) {
-        exact = false;
-        break;
+    for (std::size_t f = 0; f < key_fields.size(); ++f) {
+      auto& vals = per_field[f];
+      vals.clear();
+      if (!field_values(task, t, templates[t], key_fields[f], as_response, cap, vals)) {
+        return inexact;
       }
-      product *= std::max<std::uint64_t>(vals.size(), 1);
-      if (product > cap) {
-        exact = false;
-        break;
-      }
-      per_field.emplace_back(vals.begin(), vals.end());
+      std::sort(vals.begin(), vals.end());
+      vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
+      product *= vals.size();
+      if (product > cap) return inexact;
     }
-    if (!exact) {
-      space.exact = false;
+    if (space.words.empty()) {
+      append_product(per_field, space.words);
       continue;
     }
-    // Cartesian product.
-    std::vector<std::size_t> idx(per_field.size(), 0);
-    while (true) {
-      std::vector<std::uint64_t> key(per_field.size());
-      for (std::size_t i = 0; i < per_field.size(); ++i) key[i] = per_field[i][idx[i]];
-      keys.insert(std::move(key));
-      if (keys.size() > cap) {
-        space.exact = false;
-        break;
-      }
-      std::size_t i = 0;
-      for (; i < idx.size(); ++i) {
-        if (++idx[i] < per_field[i].size()) break;
-        idx[i] = 0;
-      }
-      if (i == idx.size()) break;
-    }
+    // Merging each trigger's sorted block into the union keeps it sorted
+    // and unique without holding every trigger's keys at once.
+    block.clear();
+    append_product(per_field, block);
+    space.words = merge_rows(space.words, block, space.arity);
+    if (space.size() > cap) return inexact;
   }
-
-  space.keys.assign(keys.begin(), keys.end());
   return space;
 }
 

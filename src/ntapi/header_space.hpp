@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "htps/template_packet.hpp"
@@ -65,14 +66,26 @@ class KeyBits {
   std::array<std::uint64_t, 2> mask_{};
 };
 
+/// A query's key space, stored row-major: key `i` is the `arity` words
+/// `words[i * arity, (i + 1) * arity)`, one per key field. Keys are unique
+/// and sorted lexicographically, first field most significant.
 struct KeySpace {
-  std::vector<std::vector<std::uint64_t>> keys;
-  bool exact = true;  ///< false when enumeration hit the cap
+  std::vector<std::uint64_t> words;
+  std::size_t arity = 0;
+  /// False when some key field is not enumerable ahead of time or the
+  /// space holds more than the cap's unique keys; `words` is then empty.
+  bool exact = true;
+
+  std::size_t size() const { return arity == 0 ? 0 : words.size() / arity; }
+  std::span<const std::uint64_t> key(std::size_t i) const {
+    return {words.data() + i * arity, arity};
+  }
 };
 
 /// Enumerate the key space of `query` over the given key fields.
 /// `templates` holds the compiled template spec of each trigger (for
-/// default field values of unset fields).
+/// default field values of unset fields). A multi-trigger space is the
+/// union of the triggers' spaces; `cap` bounds its unique key count.
 KeySpace enumerate_key_space(const Task& task, const Query& query,
                              const std::vector<net::FieldId>& key_fields,
                              const std::vector<htps::TemplateSpec>& templates,

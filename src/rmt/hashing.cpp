@@ -1,6 +1,8 @@
 #include "rmt/hashing.hpp"
 
 #include <array>
+#include <stdexcept>
+#include <string>
 
 #include "net/bytes.hpp"
 
@@ -37,13 +39,9 @@ std::uint32_t HashUnit::crc32(std::span<const std::uint8_t> bytes) const {
 
 std::uint32_t HashUnit::hash_fields(std::span<const std::uint64_t> values,
                                     std::span<const net::FieldId> fields, unsigned bits) const {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(values.size() * 4);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    const unsigned width_bytes = (net::field_width(fields[i]) + 7) / 8;
-    for (unsigned b = 0; b < width_bytes; ++b) {
-      buf.push_back(static_cast<std::uint8_t>((values[i] >> (8 * (width_bytes - 1 - b))) & 0xffu));
-    }
+  if (values.size() != fields.size()) {
+    throw std::invalid_argument("HashUnit::hash_fields: " + std::to_string(values.size()) +
+                                " values for " + std::to_string(fields.size()) + " fields");
   }
   // Two requirements shape this function. (1) Raw CRC is linear over
   // GF(2): structured key spaces (exactly what test triggers generate —
@@ -55,9 +53,15 @@ std::uint32_t HashUnit::hash_fields(std::span<const std::uint64_t> values,
   // imply a bucket collision, corrupting the cuckoo/false-positive maths.
   std::uint64_t h = 1469598103934665603ull ^ (static_cast<std::uint64_t>(seed_) *
                                               0x9E3779B97F4A7C15ull);
-  for (const std::uint8_t b : buf) {
-    h ^= b;
-    h *= 1099511628211ull;  // FNV-1a step
+  // FNV-1a over the crossbar bytes, streamed without a buffer: it runs on
+  // every counter-store update and on every key of the compile-time
+  // false-positive precompute.
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const unsigned width_bytes = (net::field_width(fields[i]) + 7) / 8;
+    for (unsigned b = width_bytes; b-- > 0;) {
+      h ^= (values[i] >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
   }
   h ^= h >> 33;
   h *= 0xFF51AFD7ED558CCDull;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "net/fields.hpp"
 
@@ -23,7 +22,8 @@ class HashUnit {
 
   /// Hash a list of field values: each value contributes width/8 (rounded
   /// up) big-endian bytes, mirroring how the hardware crossbar feeds the
-  /// hash engine.
+  /// hash engine. Throws std::invalid_argument unless there is exactly one
+  /// value per field.
   std::uint32_t hash_fields(std::span<const std::uint64_t> values,
                             std::span<const net::FieldId> fields, unsigned bits) const;
 

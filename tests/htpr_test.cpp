@@ -191,13 +191,19 @@ TEST(CounterStore, RejectsBadConfig) {
 
 // --- false-positive analysis -------------------------------------------------
 
-std::vector<std::vector<std::uint64_t>> synthetic_keys(std::size_t n) {
-  std::vector<std::vector<std::uint64_t>> keys;
-  keys.reserve(n);
+/// `n` two-field (sip, dip) keys, row-major.
+std::vector<std::uint64_t> synthetic_keys(std::size_t n) {
+  std::vector<std::uint64_t> words;
+  words.reserve(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back({0x0A000000 + i, 0x0B000000 + (i * 7)});
+    words.push_back(0x0A000000 + i);
+    words.push_back(0x0B000000 + (i * 7));
   }
-  return keys;
+  return words;
+}
+
+std::span<const std::uint64_t> key_at(const std::vector<std::uint64_t>& words, std::size_t i) {
+  return std::span<const std::uint64_t>(words).subspan(2 * i, 2);
 }
 
 TEST(FalsePositive, NoCollisionsInTinySpace) {
@@ -205,7 +211,7 @@ TEST(FalsePositive, NoCollisionsInTinySpace) {
   h.key_fields = {FieldId::kIpv4Sip, FieldId::kIpv4Dip};
   h.digest_bits = 32;
   h.buckets = 1 << 16;
-  const auto analysis = analyze_collisions(h, synthetic_keys(100));
+  const auto analysis = analyze_collisions(h, synthetic_keys(100), 2);
   EXPECT_EQ(analysis.exact_keys.size(), 0u);
   EXPECT_EQ(analysis.keys_analyzed, 100u);
 }
@@ -215,7 +221,7 @@ TEST(FalsePositive, DetectsCollisionsInLargeSpace16Bit) {
   h.key_fields = {FieldId::kIpv4Sip, FieldId::kIpv4Dip};
   h.digest_bits = 16;
   h.buckets = 1 << 12;
-  const auto analysis = analyze_collisions(h, synthetic_keys(100'000));
+  const auto analysis = analyze_collisions(h, synthetic_keys(100'000), 2);
   // 100K keys, 16-bit fingerprints: collisions certain but sparse.
   EXPECT_GT(analysis.exact_keys.size(), 0u);
   EXPECT_LT(analysis.exact_keys.size(), 5'000u);
@@ -229,9 +235,34 @@ TEST(FalsePositive, WiderDigestNeedsFewerEntries) {
   h32.digest_bits = 32;
   h16.buckets = h32.buckets = 1 << 14;
   const auto keys = synthetic_keys(200'000);
-  const auto a16 = analyze_collisions(h16, keys);
-  const auto a32 = analyze_collisions(h32, keys);
+  const auto a16 = analyze_collisions(h16, keys, 2);
+  const auto a32 = analyze_collisions(h32, keys, 2);
   EXPECT_GT(a16.exact_keys.size(), a32.exact_keys.size());  // Fig 17b claim
+}
+
+TEST(FalsePositive, GoldenExactKeyOrder) {
+  // The exact keys' order is the exact table's slot order, which lands in
+  // the register image and so in every tester state digest: count and
+  // order are pinned, not just "some collisions found".
+  CounterHashParams h;
+  h.key_fields = {FieldId::kIpv4Sip, FieldId::kIpv4Dip};
+  h.buckets = 1 << 12;
+  const auto keys = synthetic_keys(100'000);
+  h.digest_bits = 16;
+  const auto a16 = analyze_collisions(h, keys, 2);
+  EXPECT_EQ(a16.exact_keys.size(), 30u);
+  EXPECT_EQ(test::fnv1a_keys(a16.exact_keys), 14982267357452391450ull);
+  h.digest_bits = 32;
+  const auto a32 = analyze_collisions(h, keys, 2);
+  EXPECT_EQ(a32.exact_keys.size(), 0u);
+  EXPECT_EQ(test::fnv1a_keys(a32.exact_keys), 14695981039346656037ull);
+  // A tiny store makes most fingerprint groups overlap: thousands of
+  // exact keys from multi-member clusters.
+  h.digest_bits = 16;
+  h.buckets = 1 << 6;
+  const auto crowded = analyze_collisions(h, keys, 2);
+  EXPECT_EQ(crowded.exact_keys.size(), 2326u);
+  EXPECT_EQ(test::fnv1a_keys(crowded.exact_keys), 16621399894232849016ull);
 }
 
 TEST(FalsePositive, ExactEntriesGuaranteeAccuracy) {
@@ -242,14 +273,14 @@ TEST(FalsePositive, ExactEntriesGuaranteeAccuracy) {
   cfg.fifo_capacity = 1 << 12;
   StoreFixture f(cfg);
   const auto keys = synthetic_keys(20'000);
-  const auto analysis = analyze_collisions(cfg.hash, keys);
+  const auto analysis = analyze_collisions(cfg.hash, keys, 2);
   f.store.install_exact_entries(analysis.exact_keys);
 
   // Each key is counted key_index % 3 + 1 times.
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  for (std::size_t i = 0; i < 20'000; ++i) {
     for (std::size_t rep = 0; rep < i % 3 + 1; ++rep) {
-      auto ctx = f.ctx_for(static_cast<std::uint32_t>(keys[i][0]),
-                           static_cast<std::uint32_t>(keys[i][1]));
+      auto ctx = f.ctx_for(static_cast<std::uint32_t>(key_at(keys, i)[0]),
+                           static_cast<std::uint32_t>(key_at(keys, i)[1]));
       f.store.update(ctx, 1);
       // Interleave maintenance so the FIFO keeps draining.
       auto mctx = f.ctx_for(0, 0);
@@ -264,8 +295,8 @@ TEST(FalsePositive, ExactEntriesGuaranteeAccuracy) {
   for (const auto& [type, values] : f.digests) cpu[values[0]] += values[1];
 
   std::size_t wrong = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto got = f.store.total_for_key(keys[i], cpu);
+  for (std::size_t i = 0; i < 20'000; ++i) {
+    const auto got = f.store.total_for_key(key_at(keys, i), cpu);
     if (got != i % 3 + 1) ++wrong;
   }
   EXPECT_EQ(wrong, 0u) << "false positives corrupted " << wrong << " counters";
@@ -278,10 +309,11 @@ TEST(FalsePositive, WithoutExactEntriesCollisionsCorrupt) {
   cfg.fifo_capacity = 1 << 12;
   StoreFixture f(cfg);
   const auto keys = synthetic_keys(20'000);
-  const auto analysis = analyze_collisions(cfg.hash, keys);
+  const auto analysis = analyze_collisions(cfg.hash, keys, 2);
   ASSERT_GT(analysis.exact_keys.size(), 0u);  // collisions exist in this space
 
-  for (const auto& key : keys) {
+  for (std::size_t i = 0; i < 20'000; ++i) {
+    const auto key = key_at(keys, i);
     auto ctx = f.ctx_for(static_cast<std::uint32_t>(key[0]), static_cast<std::uint32_t>(key[1]));
     f.store.update(ctx, 1);
     auto mctx = f.ctx_for(0, 0);
@@ -294,8 +326,8 @@ TEST(FalsePositive, WithoutExactEntriesCollisionsCorrupt) {
   std::map<std::uint64_t, std::uint64_t> cpu;
   for (const auto& [type, values] : f.digests) cpu[values[0]] += values[1];
   std::size_t wrong = 0;
-  for (const auto& key : keys) {
-    if (f.store.total_for_key(key, cpu) != 1) ++wrong;
+  for (std::size_t i = 0; i < 20'000; ++i) {
+    if (f.store.total_for_key(key_at(keys, i), cpu) != 1) ++wrong;
   }
   EXPECT_GT(wrong, 0u);
 }

@@ -2,11 +2,14 @@
 // header-space enumeration, compilation, and the P4 backend.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "apps/tasks.hpp"
 #include "ntapi/compiler.hpp"
 #include "ntapi/header_space.hpp"
 #include "ntapi/p4gen.hpp"
 #include "ntapi/validation.hpp"
+#include "testutil.hpp"
 
 namespace ht::ntapi {
 namespace {
@@ -259,7 +262,7 @@ TEST(HeaderSpace, SentSpaceIsCartesianProduct) {
   const auto space = enumerate_key_space(task, task.query(q),
                                          {FieldId::kIpv4Dip, FieldId::kUdpDport}, specs);
   EXPECT_TRUE(space.exact);
-  EXPECT_EQ(space.keys.size(), 6u);  // 3 addresses x 2 ports
+  EXPECT_EQ(space.size(), 6u);  // 3 addresses x 2 ports
 }
 
 TEST(HeaderSpace, ReceivedSpaceIsReversed) {
@@ -272,8 +275,75 @@ TEST(HeaderSpace, ReceivedSpaceIsReversed) {
   std::vector<htps::TemplateSpec> specs = {Compiler::build_template_spec(task, 0)};
   const auto space = enumerate_key_space(task, task.query(q), {FieldId::kIpv4Sip}, specs);
   EXPECT_TRUE(space.exact);
-  EXPECT_EQ(space.keys.size(), 10u);
-  EXPECT_EQ(space.keys.front()[0], 100u);
+  EXPECT_EQ(space.size(), 10u);
+  EXPECT_EQ(space.key(0)[0], 100u);
+}
+
+/// Two TCP triggers with overlapping destination ranges (and ports), for
+/// the received-direction tests below.
+Task overlapping_scans(std::uint64_t dip_lo_a, std::uint64_t dip_hi_a, std::uint64_t dip_lo_b,
+                       std::uint64_t dip_hi_b) {
+  Task task("overlap");
+  task.add_trigger(Trigger()
+                       .set(FieldId::kIpv4Proto, Value::constant(net::ipproto::kTcp))
+                       .set(FieldId::kIpv4Dip, Value::range(dip_lo_a, dip_hi_a, 1))
+                       .set(FieldId::kTcpDport, Value::array({443, 80, 8080, 80})));
+  task.add_trigger(Trigger()
+                       .set(FieldId::kIpv4Proto, Value::constant(net::ipproto::kTcp))
+                       .set(FieldId::kIpv4Dip, Value::range(dip_lo_b, dip_hi_b, 3))
+                       .set(FieldId::kTcpDport, Value::array({80, 22})));
+  task.add_query(Query().map({FieldId::kIpv4Sip, FieldId::kTcpSport}).distinct());
+  return task;
+}
+
+std::vector<htps::TemplateSpec> specs_of(const Task& task) {
+  std::vector<htps::TemplateSpec> specs;
+  for (std::size_t t = 0; t < task.triggers().size(); ++t) {
+    specs.push_back(Compiler::build_template_spec(task, t));
+  }
+  return specs;
+}
+
+TEST(HeaderSpace, FlatUnionMatchesOrderedSetReference) {
+  // Responses carry the probes' (dip, dport) as (sip, sport); the union of
+  // both triggers must come out exactly as an ordered set of key vectors
+  // would hold it: sorted, unique, first field most significant.
+  const Task task = overlapping_scans(1000, 1099, 1050, 1200);
+  const std::vector<FieldId> fields = {FieldId::kIpv4Sip, FieldId::kTcpSport};
+  const auto space = enumerate_key_space(task, task.queries()[0], fields, specs_of(task));
+  std::set<std::vector<std::uint64_t>> reference;
+  for (std::uint64_t dip = 1000; dip <= 1099; ++dip) {
+    for (const std::uint64_t port : {443, 80, 8080}) reference.insert({dip, port});
+  }
+  for (std::uint64_t dip = 1050; dip <= 1200; dip += 3) {
+    for (const std::uint64_t port : {80, 22}) reference.insert({dip, port});
+  }
+  ASSERT_TRUE(space.exact);
+  ASSERT_EQ(space.arity, 2u);
+  ASSERT_EQ(space.size(), reference.size());
+  std::size_t i = 0;
+  for (const auto& key : reference) {
+    const auto got = space.key(i++);
+    ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), key) << "key " << i - 1;
+  }
+}
+
+TEST(HeaderSpace, CapBoundsUniqueKeysAcrossTriggers) {
+  const std::vector<FieldId> fields = {FieldId::kIpv4Sip};
+  // 80 + 80 addresses (the second every 3rd of 40..277), 14 shared: 146
+  // unique keys break a cap of 100 that each trigger alone fits — the
+  // space is inexact and yields no keys.
+  const Task over = overlapping_scans(0, 79, 40, 277);
+  const auto big = enumerate_key_space(over, over.queries()[0], fields, specs_of(over), 100);
+  EXPECT_FALSE(big.exact);
+  EXPECT_EQ(big.size(), 0u);
+  EXPECT_TRUE(big.words.empty());
+  // 60 + 20 addresses, every one of the second trigger's shared: 60
+  // unique keys, under the cap although the triggers' sizes sum past it.
+  const Task under = overlapping_scans(0, 59, 0, 57);
+  const auto small = enumerate_key_space(under, under.queries()[0], fields, specs_of(under), 70);
+  EXPECT_TRUE(small.exact);
+  EXPECT_EQ(small.size(), 60u);
 }
 
 TEST(HeaderSpace, ReversedFieldMapping) {
@@ -355,6 +425,33 @@ TEST(Compiler, ExactKeysPrecomputedForKeyedQueries) {
   EXPECT_EQ(cq.key_space_size, 50'000u);
   EXPECT_GT(cq.exact_keys.size(), 0u);
   EXPECT_LT(cq.exact_keys.size(), 2'000u);
+}
+
+TEST(Compiler, GoldenScanExactKeyOrder) {
+  // Pins the count and order of the exact keys compiled for a 2^17-address
+  // scan (the order is the exact table's slot order, part of every state
+  // digest of a tester running this task).
+  const auto app = apps::ip_scan(0x0A000000, 1u << 17, 80, {0});
+  const auto compiled = Compiler().compile(app.task);
+  const auto& cq = compiled.queries[app.q_alive.index];
+  EXPECT_TRUE(cq.false_positive_free);
+  EXPECT_EQ(cq.key_space_size, 1u << 17);
+  EXPECT_EQ(cq.exact_keys.size(), 3u);
+  EXPECT_EQ(test::fnv1a_keys(cq.exact_keys), 16794167782308890980ull);
+}
+
+TEST(Compiler, InexactSpaceReportsNoKeys) {
+  // 240 + 160 (address, port) keys, 14 shared: each trigger fits a cap of
+  // 300, their union does not. No partial key count is reported.
+  const Task task = overlapping_scans(0, 79, 40, 277);
+  Compiler compiler;
+  compiler.key_space_cap = 300;
+  const auto compiled = compiler.compile(task);
+  EXPECT_FALSE(compiled.queries[0].false_positive_free);
+  EXPECT_EQ(compiled.queries[0].key_space_size, 0u);
+  EXPECT_TRUE(compiled.queries[0].exact_keys.empty());
+  compiler.key_space_cap = 4'000'000;
+  EXPECT_EQ(compiler.compile(task).queries[0].key_space_size, 386u);
 }
 
 TEST(Compiler, UnboundedSpacesAreFlagged) {

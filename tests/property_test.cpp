@@ -139,10 +139,13 @@ TEST_P(CounterStoreSweep, ExactnessHoldsForEveryGeometry) {
   cfg.exact_capacity = 1 << 14;
   htpr::CounterStore store(asic, cfg);
 
-  std::vector<std::vector<std::uint64_t>> keys;
-  keys.reserve(flows);
-  for (std::size_t i = 0; i < flows; ++i) keys.push_back({0x01000000 + i * 3, 1 + i % 60000});
-  store.install_exact_entries(htpr::analyze_collisions(cfg.hash, keys).exact_keys);
+  std::vector<std::uint64_t> keys;  // row-major (sip, sport)
+  keys.reserve(2 * flows);
+  for (std::size_t i = 0; i < flows; ++i) {
+    keys.push_back(0x01000000 + i * 3);
+    keys.push_back(1 + i % 60000);
+  }
+  store.install_exact_entries(htpr::analyze_collisions(cfg.hash, keys, 2).exact_keys);
 
   std::map<std::uint64_t, std::uint64_t> cpu;
   rmt::Phv phv;
@@ -151,18 +154,19 @@ TEST_P(CounterStoreSweep, ExactnessHoldsForEveryGeometry) {
                          [&cpu](std::uint32_t, std::vector<std::uint64_t> v) {
                            cpu[v[0]] += v[1];
                          }};
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  for (std::size_t i = 0; i < flows; ++i) {
     for (std::size_t rep = 0; rep < i % 4 + 1; ++rep) {
-      phv.set(FieldId::kIpv4Sip, keys[i][0]);
-      phv.set(FieldId::kUdpSport, keys[i][1]);
+      phv.set(FieldId::kIpv4Sip, keys[2 * i]);
+      phv.set(FieldId::kUdpSport, keys[2 * i + 1]);
       store.update(ctx, 2);
       store.maintenance_pass(ctx);
     }
   }
   while (!store.fifo().empty()) store.maintenance_pass(ctx);
 
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(store.total_for_key(keys[i], cpu), 2 * (i % 4 + 1))
+  for (std::size_t i = 0; i < flows; ++i) {
+    ASSERT_EQ(store.total_for_key(std::span<const std::uint64_t>(keys).subspan(2 * i, 2), cpu),
+              2 * (i % 4 + 1))
         << "flow " << i << " buckets=" << buckets << " digest=" << digest;
   }
 }

@@ -2,6 +2,10 @@
 // pipelines, traffic manager, recirculation, digests, resources.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <span>
+#include <stdexcept>
+
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 #include "rmt/asic.hpp"
@@ -73,6 +77,72 @@ TEST(HashUnit, FieldHashTruncates) {
   const auto h32 = h.hash_fields(values, fields, 32);
   EXPECT_LT(h16, 1u << 16);
   EXPECT_EQ(h16, h32 & 0xFFFFu);
+}
+
+/// The buffered form of HashUnit::hash_fields: gather every field's
+/// big-endian crossbar bytes into a buffer, then run FNV-1a and the
+/// avalanche finalizer over it. The library streams the same bytes
+/// without a buffer; this is the reference it must match bit for bit.
+std::uint32_t buffered_hash_fields(std::uint32_t seed, std::span<const std::uint64_t> values,
+                                   std::span<const FieldId> fields, unsigned bits) {
+  std::vector<std::uint8_t> buf;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const unsigned width_bytes = (net::field_width(fields[i]) + 7) / 8;
+    for (unsigned b = 0; b < width_bytes; ++b) {
+      buf.push_back(static_cast<std::uint8_t>((values[i] >> (8 * (width_bytes - 1 - b))) & 0xffu));
+    }
+  }
+  std::uint64_t h = 1469598103934665603ull ^ (static_cast<std::uint64_t>(seed) *
+                                              0x9E3779B97F4A7C15ull);
+  for (const std::uint8_t b : buf) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  const auto out = static_cast<std::uint32_t>(h);
+  return bits >= 32 ? out : (out & static_cast<std::uint32_t>(net::low_mask(bits)));
+}
+
+TEST(HashUnit, StreamingMatchesBufferedReference) {
+  std::vector<FieldId> eligible;  // every field 1..48 bits wide
+  for (std::size_t i = 0; i < net::kFieldCount; ++i) {
+    const auto f = static_cast<FieldId>(i);
+    if (net::field_width(f) >= 1 && net::field_width(f) <= 48) eligible.push_back(f);
+  }
+  ASSERT_GT(eligible.size(), 20u);
+  std::mt19937_64 rng(0x5EED);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t arity = 1 + rng() % 6;
+    std::vector<FieldId> fields;
+    std::vector<std::uint64_t> values;
+    for (std::size_t i = 0; i < arity; ++i) {
+      const FieldId f = eligible[rng() % eligible.size()];
+      fields.push_back(f);
+      // Half in-range values, half with junk above the field's width
+      // (only the low width/8-rounded-up bytes may feed the hash).
+      values.push_back(trial % 2 == 0 ? rng() & net::field_mask(f) : rng());
+    }
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const HashUnit h(seed);
+    for (const unsigned bits : {16u, 32u}) {
+      ASSERT_EQ(h.hash_fields(values, fields, bits),
+                buffered_hash_fields(seed, values, fields, bits))
+          << "trial " << trial << " arity " << arity << " bits " << bits;
+    }
+  }
+}
+
+TEST(HashUnit, ArityMismatchThrows) {
+  const HashUnit h(0);
+  const std::vector<FieldId> fields = {FieldId::kIpv4Sip, FieldId::kTcpDport};
+  const std::vector<std::uint64_t> one = {0x01020304};
+  const std::vector<std::uint64_t> three = {1, 2, 3};
+  EXPECT_THROW(h.hash_fields(one, fields, 32), std::invalid_argument);
+  EXPECT_THROW(h.hash_fields(three, fields, 32), std::invalid_argument);
 }
 
 TEST(RegisterArray, SaluAtomicity) {

@@ -1,6 +1,7 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -48,5 +49,21 @@ struct AsicTestbed {
   rmt::SwitchAsic asic;
   std::vector<std::unique_ptr<PortSink>> sinks;
 };
+
+/// FNV-1a64 over a key list flattened in order (each word as 8
+/// little-endian bytes). Pins both the membership and the order of a
+/// compiled exact-key list: that order is the exact table's slot order.
+inline std::uint64_t fnv1a_keys(const std::vector<std::vector<std::uint64_t>>& keys) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& key : keys) {
+    for (const std::uint64_t word : key) {
+      for (unsigned b = 0; b < 8; ++b) {
+        h ^= (word >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
 
 }  // namespace ht::test
