@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
 #include <stdexcept>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 namespace ht::dut::stateful {
 
@@ -33,6 +38,25 @@ std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// A zero-filled, all-kFree table of `n` slots. glibc serves an allocation
+/// above its mmap threshold (at most 32 MiB; the default table is 128 MiB)
+/// from fresh mmap pages without a memset, so pages fault in on first
+/// touch. On Linux the 2 MiB-aligned interior is hinted to transparent huge
+/// pages: first touches then fault 2 MiB at a time instead of 4 KiB.
+Tcb* allocate_table(std::size_t n) {
+  void* p = std::calloc(n, sizeof(Tcb));
+  if (p == nullptr) throw std::bad_alloc();
+#if defined(__linux__)
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t begin = (addr + kHugePage - 1) & ~(kHugePage - 1);
+  const std::uintptr_t end = (addr + n * sizeof(Tcb)) & ~(kHugePage - 1);
+  // Advisory only: a kernel without THP ignores it and the table stays lazy.
+  if (end > begin) madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
+#endif
+  return static_cast<Tcb*>(p);
+}
+
 /// Cookie time buckets: 2^26 ns ≈ 67 ms. A handshake RTT is microseconds
 /// in the testbed, so validating against the current and previous bucket
 /// leaves generous slack while still expiring stale cookies.
@@ -61,7 +85,7 @@ TcbStore::TcbStore(TcbConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument(
         "TcbStore: hash_shards must be a power of two <= capacity");
   }
-  slots_.resize(cfg_.capacity);
+  slots_.reset(allocate_table(cfg_.capacity));
   region_slots_ = cfg_.capacity / cfg_.hash_shards;
 }
 
@@ -181,10 +205,10 @@ std::size_t TcbStore::sweep(std::uint32_t now_us) {
   const std::uint32_t timeout_us =
       static_cast<std::uint32_t>(cfg_.idle_timeout_ns / 1000);
   std::size_t evicted = 0;
-  const std::size_t batch = std::min(cfg_.sweep_batch, slots_.size());
+  const std::size_t batch = std::min(cfg_.sweep_batch, cfg_.capacity);
   for (std::size_t i = 0; i < batch; ++i) {
     Tcb& slot = slots_[sweep_cursor_];
-    sweep_cursor_ = (sweep_cursor_ + 1) & (slots_.size() - 1);
+    sweep_cursor_ = (sweep_cursor_ + 1) & (cfg_.capacity - 1);
     if (slot.state == TcbState::kFree || slot.state == TcbState::kTombstone) {
       continue;
     }
@@ -199,7 +223,7 @@ std::size_t TcbStore::sweep(std::uint32_t now_us) {
 
 std::uint64_t TcbStore::fingerprint() const {
   std::uint64_t h = kFnvBasis;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
+  for (std::size_t i = 0; i < cfg_.capacity; ++i) {
     const Tcb& slot = slots_[i];
     if (slot.state == TcbState::kFree || slot.state == TcbState::kTombstone) {
       continue;

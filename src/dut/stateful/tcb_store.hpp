@@ -26,11 +26,17 @@
 //    sweep cost is amortized and never stalls the event loop.
 //  * fingerprint() folds every occupied slot in slot order (FNV-1a64), the
 //    anchor for the cross-shard byte-identical determinism suite.
+//  * The slot table is one zero-filled allocation whose pages fault in on
+//    first touch (a free Tcb is all zero bytes), hinted to transparent huge
+//    pages on Linux, so a 2^21-slot store costs no build time and only the
+//    memory its connections touch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
+#include <type_traits>
 
 #include "dut/stateful/http_model.hpp"
 
@@ -75,6 +81,9 @@ struct Tcb {
   HttpParseState http;          ///< incremental request-parser state
 };
 static_assert(sizeof(Tcb) <= 64, "Tcb must stay within one cache line");
+// The table is allocated zero-filled and never constructed slot by slot.
+static_assert(std::is_trivially_copyable_v<Tcb> && std::is_trivially_destructible_v<Tcb>,
+              "a zero-filled allocation must hold valid free Tcbs");
 
 struct TcbConfig {
   std::size_t capacity = std::size_t{1} << 21;  ///< total slots, power of two
@@ -104,7 +113,7 @@ class TcbStore {
   explicit TcbStore(TcbConfig cfg);
 
   const TcbConfig& config() const { return cfg_; }
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return cfg_.capacity; }
   std::size_t size() const { return occupied_; }
   std::size_t count(TcbState s) const {
     return state_count_[static_cast<std::size_t>(s)];
@@ -152,8 +161,12 @@ class TcbStore {
   /// Probe region [region_base, region_base + region_slots) for `key`.
   Tcb* find_slot(const TcbKey& key, std::uint64_t h);
 
+  struct FreeTable {
+    void operator()(Tcb* p) const { std::free(p); }
+  };
+
   TcbConfig cfg_;
-  std::vector<Tcb> slots_;
+  std::unique_ptr<Tcb[], FreeTable> slots_;
   std::size_t region_slots_ = 0;   ///< capacity / hash_shards
   std::size_t occupied_ = 0;       ///< live entries (excludes tombstones)
   std::size_t sweep_cursor_ = 0;

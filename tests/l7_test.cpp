@@ -4,7 +4,10 @@
 // and shard-count determinism of the CPS scenario.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -130,6 +133,114 @@ TEST(TcbStore, FingerprintTracksContent) {
   b.insert(key_of(100), TcbState::kSynRcvd, 6);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
+
+// One fixed sequence of inserts, state changes, erases, tombstone reuse and
+// a full idle-sweep pass, shared by the golden-fingerprint tests below.
+void drive_fixed_sequence(TcbStore& store) {
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    const TcbKey k = key_of(0x0A000000 + i * 7, static_cast<std::uint16_t>(1024 + i),
+                            i % 3 == 0 ? 443 : 80);
+    store.insert(k, i % 4 == 0 ? TcbState::kSynRcvd : TcbState::kEstablished, i);
+  }
+  for (std::uint32_t i = 0; i < 48; i += 4) {
+    Tcb* t = store.lookup(key_of(0x0A000000 + i * 7, static_cast<std::uint16_t>(1024 + i),
+                                 i % 3 == 0 ? 443 : 80));
+    if (t == nullptr) continue;
+    store.set_state(*t, i % 8 == 0 ? TcbState::kTlsHandshake : TcbState::kEstablished);
+    t->peer_seq = 0x1000 + i;
+    t->requests = i;
+    t->flights_remaining = static_cast<std::uint16_t>(i % 5);
+    store.touch(*t, 900 + i);
+  }
+  for (std::uint32_t i = 1; i < 48; i += 3) {
+    Tcb* t = store.lookup(key_of(0x0A000000 + i * 7, static_cast<std::uint16_t>(1024 + i),
+                                 i % 3 == 0 ? 443 : 80));
+    if (t != nullptr) store.erase(*t);
+  }
+  // Fresh keys land on the tombstones left above where probe paths cross.
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    Tcb* t = store.insert(key_of(0x0B000000 + i, 4096, 80), TcbState::kSynRcvd, 600 + i);
+    if (t != nullptr && i % 2 == 0) store.set_state(*t, TcbState::kFinWait);
+  }
+  // With a 1000 us timeout, entries last active before t = 500 us are idle
+  // at t = 1500 us; the touched and the fresh entries survive.
+  for (std::size_t n = 0; n < store.capacity(); n += store.config().sweep_batch) {
+    store.sweep(1500);
+  }
+}
+
+// Goldens recorded on the eagerly zeroed std::vector table; the page-lazy
+// table must place, probe, evict and fold every slot exactly the same way.
+TEST(TcbStore, GoldenFingerprintDefaultCapacity) {
+  TcbStore store({.idle_timeout_ns = 1'000'000});
+  drive_fixed_sequence(store);
+  EXPECT_EQ(store.size(), 24u);
+  EXPECT_EQ(store.fingerprint(), 16701013793929157854ull);
+}
+
+TEST(TcbStore, GoldenFingerprintSmallStore) {
+  TcbStore store({.capacity = 64,
+                  .hash_shards = 4,
+                  .idle_timeout_ns = 1'000'000,
+                  .sweep_batch = 16});
+  drive_fixed_sequence(store);
+  EXPECT_EQ(store.size(), 23u);
+  EXPECT_EQ(store.fingerprint(), 8837339509602020053ull);
+}
+
+// The table is allocated zero-filled, so all-zero bytes read as a Tcb must
+// hold exactly the field values of a default-constructed (free) Tcb.
+TEST(TcbStore, ZeroBytesReadAsFreeSlot) {
+  const Tcb zeroed = std::bit_cast<Tcb>(std::array<unsigned char, sizeof(Tcb)>{});
+  const Tcb free_slot{};
+  EXPECT_EQ(zeroed.state, TcbState::kFree);
+  EXPECT_EQ(zeroed.state, free_slot.state);
+  EXPECT_EQ(zeroed.hash, free_slot.hash);
+  EXPECT_EQ(zeroed.key, free_slot.key);
+  EXPECT_EQ(zeroed.our_seq, free_slot.our_seq);
+  EXPECT_EQ(zeroed.peer_seq, free_slot.peer_seq);
+  EXPECT_EQ(zeroed.created_us, free_slot.created_us);
+  EXPECT_EQ(zeroed.last_active_us, free_slot.last_active_us);
+  EXPECT_EQ(zeroed.requests, free_slot.requests);
+  EXPECT_EQ(zeroed.flights_remaining, free_slot.flights_remaining);
+  EXPECT_EQ(zeroed.http.target_hash, free_slot.http.target_hash);
+  EXPECT_EQ(zeroed.http.scratch, free_slot.http.scratch);
+  EXPECT_EQ(zeroed.http.content_length, free_slot.http.content_length);
+  EXPECT_EQ(zeroed.http.match, free_slot.http.match);
+  EXPECT_EQ(zeroed.http.state, free_slot.http.state);
+  EXPECT_EQ(zeroed.http.flags, free_slot.http.flags);
+}
+
+#if defined(__linux__)
+/// Resident set size of this process in KiB, from /proc/self/status.
+std::size_t vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+
+// The 2^21-slot (128 MiB) table must cost nothing until slots are touched:
+// constructing it may not fault in the table, only what gets used.
+TEST(TcbStore, DefaultCapacityIsPageLazy) {
+  const std::size_t before_kib = vm_rss_kib();
+  ASSERT_GT(before_kib, 0u);
+  TcbStore store(TcbConfig{});
+  ASSERT_EQ(store.capacity(), std::size_t{1} << 21);
+  EXPECT_LT(vm_rss_kib() - before_kib, std::size_t{8} << 10);
+
+  for (std::uint32_t i = 0; i < 16'384; ++i) {
+    ASSERT_NE(store.insert(key_of(0x0A000000 + i), TcbState::kEstablished, i), nullptr) << i;
+  }
+  for (std::uint32_t i = 0; i < 16'384; ++i) {
+    const Tcb* t = store.lookup(key_of(0x0A000000 + i));
+    ASSERT_NE(t, nullptr) << i;
+    EXPECT_EQ(t->created_us, i);
+  }
+  EXPECT_EQ(store.size(), 16'384u);
+}
+#endif
 
 // --- HTTP parser ---------------------------------------------------------
 

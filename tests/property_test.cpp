@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <ostream>
+#include <type_traits>
 
 #include "htpr/false_positive.hpp"
 #include "htps/inverse_transform.hpp"
@@ -79,6 +80,7 @@ struct FifoCase {
   std::size_t capacity;
   std::size_t lanes;
 };
+static_assert(std::has_unique_object_representations_v<FifoCase>);
 
 class FifoSweep : public ::testing::TestWithParam<FifoCase> {};
 
@@ -118,11 +120,15 @@ INSTANTIATE_TEST_SUITE_P(Geometries, FifoSweep,
 
 // --- counter-store exactness across geometries ---------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the
+// parameter may hold no padding: `digest_bits` is as wide as its neighbours,
+// where an `unsigned` left 4 uninitialised bytes in every case name.
 struct StoreCase {
   std::size_t buckets;
-  unsigned digest_bits;
+  std::size_t digest_bits;
   std::size_t flows;
 };
+static_assert(std::has_unique_object_representations_v<StoreCase>);
 
 class CounterStoreSweep : public ::testing::TestWithParam<StoreCase> {};
 
@@ -134,7 +140,7 @@ TEST_P(CounterStoreSweep, ExactnessHoldsForEveryGeometry) {
   cfg.name = "sweep";
   cfg.hash.key_fields = {FieldId::kIpv4Sip, FieldId::kUdpSport};
   cfg.hash.buckets = buckets;
-  cfg.hash.digest_bits = digest;
+  cfg.hash.digest_bits = static_cast<unsigned>(digest);
   cfg.fifo_capacity = 1 << 10;
   cfg.exact_capacity = 1 << 14;
   htpr::CounterStore store(asic, cfg);
