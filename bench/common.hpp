@@ -7,12 +7,14 @@
 // who wins, by how much, where things saturate — is.
 #pragma once
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hypertester.hpp"
@@ -20,69 +22,64 @@
 
 namespace ht::bench {
 
-/// Pull `--json <path>` out of argv so downstream argument parsers
-/// (google-benchmark in perf_micro) never see it. Returns the path, or ""
-/// when the flag is absent.
-inline std::string take_json_path(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      path = argv[++i];
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return path;
-}
+/// Command line of a sidecar-writing bench: `--json <path>` names the
+/// sidecar (none is written without it); fig9 also accepts `--loss <rate>`
+/// and `--crash`. Each binary lists the flags it takes in `accepted`.
+struct Args {
+  std::string json;
+  double loss = 0.0;
+  bool crash = false;
+};
 
-/// Pull `--loss <rate>` out of argv (same contract as take_json_path).
-/// Returns the Bernoulli loss rate for a chaos-link bench variant, or 0.0
-/// when the flag is absent.
-inline double take_loss_rate(int& argc, char** argv) {
-  double rate = 0.0;
-  int out = 1;
+/// Parse argv against `accepted`. An unknown argument, a value flag with no
+/// value, or a `--loss` that is not a rate in [0, 1] exits with status 2
+/// instead of running (and recording) some other sweep.
+inline Args parse_args(int argc, char** argv,
+                       std::initializer_list<std::string_view> accepted = {"--json"}) {
+  const auto fail = [&](const char* why, const char* arg) {
+    std::fprintf(stderr, "%s: %s '%s'; accepted:", argv[0], why, arg);
+    for (const std::string_view f : accepted) {
+      std::fprintf(stderr, " %.*s", static_cast<int>(f.size()), f.data());
+    }
+    std::fputc('\n', stderr);
+    std::exit(2);
+  };
+  Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
+    const std::string_view flag = argv[i];
+    if (std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      fail("unknown argument", argv[i]);
+    }
+    if (flag == "--crash") {
+      args.crash = true;
       continue;
     }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return rate;
-}
-
-/// Pull a boolean flag (e.g. `--crash`) out of argv (same contract as
-/// take_json_path). Returns true when the flag was present.
-inline bool take_flag(int& argc, char** argv, const char* flag) {
-  bool present = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      present = true;
+    if (i + 1 == argc) fail("missing value for", argv[i]);
+    const char* value = argv[++i];
+    if (flag == "--json") {
+      args.json = value;
       continue;
     }
-    argv[out++] = argv[i];
+    char* end = nullptr;
+    args.loss = std::strtod(value, &end);
+    if (end == value || *end != '\0' || !(args.loss >= 0.0 && args.loss <= 1.0)) {
+      fail("--loss needs a rate in [0, 1], got", value);
+    }
   }
-  argc = out;
-  return present;
+  return args;
 }
 
 /// Machine-readable sidecar for a bench binary: one entry per reported
-/// series, written as a flat JSON document (see scripts/bench.sh). Values
-/// are numbers; `wall_s` is the wall-clock cost of producing the value so
-/// regressions in the substrate itself are visible across runs.
+/// series, written as a flat JSON document (see scripts/bench.sh). Every
+/// value is a simulated result, so a sidecar is byte-reproducible on any
+/// host and the committed copy serves as a golden.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench, std::string path)
       : bench_(std::move(bench)), path_(std::move(path)) {}
 
-  bool enabled() const { return !path_.empty(); }
-
-  void add(const std::string& series, double value, const std::string& unit, double wall_s) {
-    entries_.push_back(Entry{series, unit, value, wall_s});
+  void add(const std::string& series, double value, const std::string& unit) {
+    entries_.push_back(Entry{series, unit, value});
   }
 
   /// Attach a raw pre-rendered JSON value under a top-level key — e.g.
@@ -110,11 +107,8 @@ class BenchJson {
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"entries\": [\n", bench_.c_str());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
-      std::fprintf(f,
-                   "    {\"series\": \"%s\", \"value\": %.6g, \"unit\": \"%s\", "
-                   "\"wall_s\": %.3f}%s\n",
-                   e.series.c_str(), e.value, e.unit.c_str(), e.wall_s,
-                   i + 1 < entries_.size() ? "," : "");
+      std::fprintf(f, "    {\"series\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
+                   e.series.c_str(), e.value, e.unit.c_str(), i + 1 < entries_.size() ? "," : "");
     }
     std::fprintf(f, "  ]");
     for (const Block& b : blocks_) {
@@ -130,7 +124,6 @@ class BenchJson {
     std::string series;
     std::string unit;
     double value = 0.0;
-    double wall_s = 0.0;
   };
   struct Block {
     std::string key;
@@ -157,13 +150,10 @@ inline void row(const char* fmt, ...) {
 
 /// A tester with capture sinks attached to every front-panel port.
 struct Testbed {
-  explicit Testbed(std::size_t ports = 4, double rate_gbps = 100.0,
-                   std::size_t recirc_channels = 1, bool fastpath = true) {
+  explicit Testbed(std::size_t ports = 4, double rate_gbps = 100.0) {
     TesterConfig cfg;
     cfg.asic.num_ports = ports;
     cfg.asic.port_rate_gbps = rate_gbps;
-    cfg.asic.num_recirc_channels = recirc_channels;
-    cfg.fastpath = fastpath;
     tester = std::make_unique<HyperTester>(cfg);
     for (std::size_t i = 0; i < ports; ++i) {
       sinks.push_back(std::make_unique<dut::Capture>(tester->events(),

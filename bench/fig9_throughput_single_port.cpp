@@ -15,8 +15,7 @@
 // restores from the newest attested snapshot and finishes the run. The
 // sidecar (BENCH_fig9_crash.json) reports delivered packets, result
 // completeness vs an uninterrupted supervised run (1.0 = byte-identical
-// recovery), recovery counts, and the supervision wall-clock overhead.
-#include <chrono>
+// recovery) and recovery counts.
 #include <memory>
 #include <vector>
 
@@ -145,100 +144,92 @@ CrashRunResult supervised_run(std::size_t pkt_len, bool with_crash) {
 
 int main(int argc, char** argv) {
   using namespace ht;
-  using clock = std::chrono::steady_clock;
-  const std::string json_path = bench::take_json_path(argc, argv);
-  const double loss = bench::take_loss_rate(argc, argv);
-  const bool crash = bench::take_flag(argc, argv, "--crash");
+  const bench::Args args = bench::parse_args(argc, argv, {"--json", "--loss", "--crash"});
+  if (args.crash && args.loss > 0.0) {
+    std::fprintf(stderr, "%s: --crash and --loss are separate variants\n", argv[0]);
+    return 2;
+  }
   const std::size_t sizes[] = {64, 128, 256, 512, 1024, 1500};
 
-  if (crash) {
-    bench::BenchJson json("fig9_crash", json_path);
+  if (args.crash) {
+    bench::BenchJson json("fig9_crash", args.json);
     bench::headline("Figure 9 (crash variant): supervised run, tester killed at 50%",
                     "restore from attested snapshot; completeness 1.0 = recovered run "
                     "byte-identical to uninterrupted");
-    bench::row("%8s %12s %14s %12s %10s %10s", "size(B)", "delivered", "completeness",
-               "recoveries", "snaps", "wall(s)");
+    bench::row("%8s %12s %14s %12s %10s", "size(B)", "delivered", "completeness",
+               "recoveries", "snaps");
     bool all_identical = true;
     for (const auto s : {std::size_t{64}, std::size_t{512}, std::size_t{1500}}) {
       const CrashRunResult clean = supervised_run(s, /*with_crash=*/false);
-      const auto t0 = clock::now();
       const CrashRunResult recovered = supervised_run(s, /*with_crash=*/true);
-      const double wall = std::chrono::duration<double>(clock::now() - t0).count();
       const double completeness =
           clean.delivered > 0 ? static_cast<double>(recovered.delivered) /
                                     static_cast<double>(clean.delivered)
                               : 0.0;
       all_identical = all_identical && recovered.digest == clean.digest;
-      bench::row("%8zu %12llu %14.4f %12llu %10llu %10.2f", s,
+      bench::row("%8zu %12llu %14.4f %12llu %10llu", s,
                  static_cast<unsigned long long>(recovered.delivered), completeness,
                  static_cast<unsigned long long>(recovered.recoveries),
-                 static_cast<unsigned long long>(recovered.snapshots), wall);
+                 static_cast<unsigned long long>(recovered.snapshots));
       json.add("ht_crash_delivered_" + std::to_string(s) + "B",
-               static_cast<double>(recovered.delivered), "packets", wall);
-      json.add("ht_crash_completeness_" + std::to_string(s) + "B", completeness, "ratio", 0.0);
+               static_cast<double>(recovered.delivered), "packets");
+      json.add("ht_crash_completeness_" + std::to_string(s) + "B", completeness, "ratio");
       json.add("ht_crash_recoveries_" + std::to_string(s) + "B",
-               static_cast<double>(recovered.recoveries), "count", 0.0);
+               static_cast<double>(recovered.recoveries), "count");
     }
     std::printf("\nfinal-state digests %s across all sizes\n",
                 all_identical ? "byte-identical" : "DIVERGED");
-    json.add("ht_crash_state_identical", all_identical ? 1.0 : 0.0, "bool", 0.0);
+    json.add("ht_crash_state_identical", all_identical ? 1.0 : 0.0, "bool");
     return json.write() && all_identical ? 0 : 1;
   }
 
-  if (loss > 0.0) {
-    bench::BenchJson json("fig9_lossy", json_path);
+  if (args.loss > 0.0) {
+    bench::BenchJson json("fig9_lossy", args.json);
     bench::headline("Figure 9 (chaos variant): single 100G port under Bernoulli loss",
                     "delivered goodput degrades with the loss rate; every drop is counted");
     bench::row("%8s %12s %16s %12s %12s", "size(B)", "TX (Gbps)", "goodput (Gbps)", "offered",
                "delivered");
     RunResult last;
     for (const auto s : sizes) {
-      const auto t0 = clock::now();
-      const RunResult r = hypertester_run(100.0, s, loss);
-      const double wall = std::chrono::duration<double>(clock::now() - t0).count();
+      const RunResult r = hypertester_run(100.0, s, args.loss);
       bench::row("%8zu %12.1f %16.1f %12llu %12llu", s, r.tx_gbps, r.delivered_gbps,
                  static_cast<unsigned long long>(r.offered),
                  static_cast<unsigned long long>(r.delivered));
-      json.add("ht_100g_goodput_" + std::to_string(s) + "B", r.delivered_gbps, "gbps", wall);
+      json.add("ht_100g_goodput_" + std::to_string(s) + "B", r.delivered_gbps, "gbps");
       json.add("ht_100g_lost_" + std::to_string(s) + "B",
-               static_cast<double>(r.offered - r.delivered), "packets", 0.0);
+               static_cast<double>(r.offered - r.delivered), "packets");
       last = r;
     }
     std::printf("\ndrop ledger (1500B run):\n%s\n", sim::format_drop_ledger(last.drops).c_str());
-    json.add("total_drops_1500B", static_cast<double>(sim::total_drops(last.drops)), "packets",
-             0.0);
+    json.add("total_drops_1500B", static_cast<double>(sim::total_drops(last.drops)), "packets");
     json.set_block("telemetry", last.telemetry_json);
     return json.write() ? 0 : 1;
   }
 
-  bench::BenchJson json("fig9", json_path);
+  bench::BenchJson json("fig9", args.json);
   const baseline::MoonGenModel mg;
 
   bench::headline("Figure 9(a): single 100G port, HyperTester",
                   "line rate for arbitrary packet sizes");
   bench::row("%8s %14s %14s %10s", "size(B)", "HT (Gbps)", "line (Gbps)", "Mpps");
   for (const auto s : sizes) {
-    const auto t0 = clock::now();
     // The 64B run's registry dump becomes the sidecar's telemetry block
     // (per-port wire-latency quantiles, queue-depth gauges).
     const double gbps = hypertester_gbps(100.0, s, s == 64 ? &json : nullptr);
-    const double wall = std::chrono::duration<double>(clock::now() - t0).count();
     const double mpps = gbps * 1e9 / (static_cast<double>(s + 24) * 8.0) / 1e6;
     bench::row("%8zu %14.1f %14.1f %10.2f", s, gbps, 100.0, mpps);
-    json.add("ht_100g_gbps_" + std::to_string(s) + "B", gbps, "gbps", wall);
+    json.add("ht_100g_gbps_" + std::to_string(s) + "B", gbps, "gbps");
   }
 
   bench::headline("Figure 9(b): single 40G port, HyperTester vs MoonGen (1 core)",
                   "HT at line rate; MG below line rate for small packets");
   bench::row("%8s %12s %16s %12s", "size(B)", "HT (Gbps)", "MG 1-core (Gbps)", "line");
   for (const auto s : sizes) {
-    const auto t0 = clock::now();
     const double ht_gbps = hypertester_gbps(40.0, s, nullptr);
-    const double wall = std::chrono::duration<double>(clock::now() - t0).count();
     const double mg_gbps = mg.throughput_gbps(s, 1, 1, 40.0);
     bench::row("%8zu %12.1f %16.1f %12.1f", s, ht_gbps, mg_gbps, 40.0);
-    json.add("ht_40g_gbps_" + std::to_string(s) + "B", ht_gbps, "gbps", wall);
-    json.add("mg_40g_gbps_" + std::to_string(s) + "B", mg_gbps, "gbps", 0.0);
+    json.add("ht_40g_gbps_" + std::to_string(s) + "B", ht_gbps, "gbps");
+    json.add("mg_40g_gbps_" + std::to_string(s) + "B", mg_gbps, "gbps");
   }
   return json.write() ? 0 : 1;
 }

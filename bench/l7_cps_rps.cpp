@@ -15,8 +15,7 @@
 //      byte-identical telemetry and server fingerprints. Exits nonzero on
 //      divergence (or when (a) misses the million-connection bar).
 //
-// `--json <path>` writes the BENCH_l7.json sidecar (scripts/bench.sh --l7).
-#include <chrono>
+// `--json <path>` writes the BENCH_l7.json sidecar (scripts/bench.sh).
 #include <string>
 
 #include "apps/tasks.hpp"
@@ -26,12 +25,6 @@
 #include "telemetry/export.hpp"
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double wall_since(clock_type::time_point t0) {
-  return std::chrono::duration<double>(clock_type::now() - t0).count();
-}
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -60,12 +53,10 @@ struct CpsRun {
   std::uint64_t backlog_drops = 0;
   double conn_per_sec = 0.0;  ///< completed handshakes over sim time
   double sim_ms = 0.0;
-  double wall_s = 0.0;
 };
 
 CpsRun run_cps_high_water() {
   using namespace ht;
-  const auto t0 = clock_type::now();
 
   TesterConfig cfg;
   cfg.asic.num_ports = 5;
@@ -110,7 +101,6 @@ CpsRun run_cps_high_water() {
   out.backlog_drops = server.tcb().stats().backlog_drops;
   out.sim_ms = static_cast<double>(elapsed) / 1e6;
   out.conn_per_sec = static_cast<double>(out.handshakes) / (static_cast<double>(elapsed) / 1e9);
-  out.wall_s = wall_since(t0);
   return out;
 }
 
@@ -122,12 +112,10 @@ struct RpsRun {
   std::uint64_t p50_ns = 0, p99_ns = 0;
   bool have_hist = false;
   double rps = 0.0;
-  double wall_s = 0.0;
 };
 
 RpsRun run_rps(bool chaos) {
   using namespace ht;
-  const auto t0 = clock_type::now();
 
   TesterConfig cfg;
   cfg.asic.num_ports = 2;
@@ -176,7 +164,6 @@ RpsRun run_rps(bool chaos) {
     out.p50_ns = h->quantile(0.50);
     out.p99_ns = h->quantile(0.99);
   }
-  out.wall_s = wall_since(t0);
   return out;
 }
 
@@ -187,12 +174,10 @@ struct DnsRun {
   std::uint64_t noerror = 0, nxdomain = 0;
   std::uint64_t p99_ns = 0;
   double rps = 0.0;
-  double wall_s = 0.0;
 };
 
 DnsRun run_dns() {
   using namespace ht;
-  const auto t0 = clock_type::now();
 
   TesterConfig cfg;
   cfg.asic.num_ports = 2;
@@ -225,7 +210,6 @@ DnsRun run_dns() {
       h != nullptr && h->count() > 0) {
     out.p99_ns = h->quantile(0.99);
   }
-  out.wall_s = wall_since(t0);
   return out;
 }
 
@@ -281,7 +265,7 @@ DetRun run_cps_sharded(std::size_t nshards) {
 int main(int argc, char** argv) {
   using namespace ht;
 
-  bench::BenchJson json("l7_cps_rps", bench::take_json_path(argc, argv));
+  bench::BenchJson json("l7_cps_rps", bench::parse_args(argc, argv).json);
 
   bench::headline("L4-L7 (a): HTTP CPS against the stateful TCB store",
                   "1M+ concurrent connections on four 100G ports");
@@ -294,9 +278,8 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(cps.backlog_drops));
   bench::row("%-28s %13.1fM", "connections/s (sim)", cps.conn_per_sec / 1e6);
   bench::row("%-28s %12.1fms", "sim time to drain", cps.sim_ms);
-  json.add("l7_cps_high_water_connections", static_cast<double>(cps.high_water), "connections",
-           cps.wall_s);
-  json.add("l7_cps_connections_per_sec", cps.conn_per_sec, "conn/s", cps.wall_s);
+  json.add("l7_cps_high_water_connections", static_cast<double>(cps.high_water), "connections");
+  json.add("l7_cps_connections_per_sec", cps.conn_per_sec, "conn/s");
 
   bench::headline("L4-L7 (b): HTTP RPS over a 16K-connection pool",
                   "status-line classes + state-based request latency, clean vs chaos");
@@ -316,9 +299,9 @@ int main(int argc, char** argv) {
   bench::row("%-28s %14llu %14llu", "p99 latency (ns)",
              static_cast<unsigned long long>(clean.p99_ns),
              static_cast<unsigned long long>(chaos.p99_ns));
-  json.add("l7_rps_responses_per_sec", clean.rps, "resp/s", clean.wall_s);
-  json.add("l7_rps_p99_latency_ns", static_cast<double>(clean.p99_ns), "ns", clean.wall_s);
-  json.add("l7_rps_p99_latency_chaos_ns", static_cast<double>(chaos.p99_ns), "ns", chaos.wall_s);
+  json.add("l7_rps_responses_per_sec", clean.rps, "resp/s");
+  json.add("l7_rps_p99_latency_ns", static_cast<double>(clean.p99_ns), "ns");
+  json.add("l7_rps_p99_latency_chaos_ns", static_cast<double>(chaos.p99_ns), "ns");
 
   bench::headline("L4-L7 (c): DNS query/response",
                   "RCODE nibble split: NOERROR vs NXDOMAIN");
@@ -327,11 +310,10 @@ int main(int argc, char** argv) {
   bench::row("%-28s %14llu", "NOERROR", static_cast<unsigned long long>(dns.noerror));
   bench::row("%-28s %14llu", "NXDOMAIN", static_cast<unsigned long long>(dns.nxdomain));
   bench::row("%-28s %14llu", "p99 latency (ns)", static_cast<unsigned long long>(dns.p99_ns));
-  json.add("l7_dns_responses_per_sec", dns.rps, "resp/s", dns.wall_s);
+  json.add("l7_dns_responses_per_sec", dns.rps, "resp/s");
 
   bench::headline("L4-L7 (d): CPS determinism across shard counts",
                   "byte-identical telemetry + server fingerprint on 1/2/4 shards");
-  const auto det_t0 = clock_type::now();
   const DetRun d1 = run_cps_sharded(1);
   const DetRun d2 = run_cps_sharded(2);
   const DetRun d4 = run_cps_sharded(4);
@@ -344,7 +326,7 @@ int main(int argc, char** argv) {
   bench::row("%8d %18llx %12llu", 4, static_cast<unsigned long long>(d4.digest),
              static_cast<unsigned long long>(d4.handshakes));
   bench::row("%-28s %14s", "determinism", det_ok ? "ok" : "DIVERGED");
-  json.add("l7_cps_determinism", det_ok ? 1.0 : 0.0, "bool", wall_since(det_t0));
+  json.add("l7_cps_determinism", det_ok ? 1.0 : 0.0, "bool");
 
   // Shape checks: the paper-scale claims this bench exists to defend.
   bool ok = json.write();

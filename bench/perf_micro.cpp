@@ -1,11 +1,9 @@
-// Micro-benchmarks of the hot simulator paths (google-benchmark), plus an
-// end-to-end packets-per-second measurement of the Fig. 9 single-port
-// workload against the recorded pre-refactor baseline, and the host cost
-// of compiling an `ip_scan` task (the false-positive precompute).
+// Micro-benchmarks of the hot simulator paths (google-benchmark), plus the
+// host cost of compiling an `ip_scan` task (the false-positive precompute).
 //
-// Not a paper figure: this tracks the substrate's own performance so the
-// figure harnesses stay fast enough to sweep. Run with `--json <path>` (see
-// scripts/bench.sh) to write the machine-readable BENCH_perf.json.
+// Not a paper figure and not a record: a developer tool that prints to
+// stdout. End-to-end host-time claims go through htbench/ (BENCHMARK.json),
+// which controls noise and records the host it ran on.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -21,9 +19,7 @@
 #include "net/packet_pool.hpp"
 #include "ntapi/compiler.hpp"
 #include "rmt/asic.hpp"
-#include "sharded.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
@@ -122,121 +118,6 @@ void BM_RecirculationLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_RecirculationLoop);
 
-/// Packets/sec of the pre-refactor simulation core on the workload below
-/// (64B, 100G, 2ms window), measured on the same machine as the refactor:
-/// median of interleaved best-of-3 runs of the pre-refactor binary. The
-/// pooled-packet/slab-event/timer-wheel engine is gated on beating this by
-/// >= 2x (see DESIGN.md section 8).
-constexpr double kPreRefactorPktsPerSec = 730e3;
-
-/// Interpreted-walk packets/sec recorded in BENCH_perf.json before the
-/// task-compiled fast path landed (same machine, same workload). The fused
-/// path is gated on >= 2x this number; the fresh interpreted series is
-/// also re-measured every run so the two baselines stay distinguishable.
-constexpr double kPreFusionPktsPerSec = 1.53283e6;
-
-struct Fig9Series {
-  double best_pps = 0.0;
-  double best_wall = 0.0;
-};
-
-/// One fig9 throughput series: wall-clock packets/sec over a 2ms simulated
-/// window at 64B/100G, best of `reps` (the container's scheduler makes
-/// single runs noisy). `fastpath` selects the task-compiled fast path or
-/// the interpreted reference walk.
-Fig9Series run_fig9_series(ht::bench::BenchJson& json, int reps, bool fastpath) {
-  using namespace ht;
-  using clock = std::chrono::steady_clock;
-  Fig9Series out;
-  for (int rep = 0; rep < reps; ++rep) {
-    bench::Testbed tb(2, 100.0, 1, fastpath);
-    auto app = apps::throughput_test(0x02020202, 0x01010101, {1}, 64, 0);
-    tb.tester->load(app.task);
-    tb.tester->start();
-    const auto t0 = clock::now();
-    tb.tester->run_for(sim::ms(2));
-    const double wall = std::chrono::duration<double>(clock::now() - t0).count();
-    const auto pkts = tb.tester->asic().egress_packets();
-    const double pps = static_cast<double>(pkts) / wall;
-    bench::row("  [%s] rep %d: egress_packets=%llu wall=%.3fs pkts/s=%.0f",
-               fastpath ? "fused" : "interp", rep, static_cast<unsigned long long>(pkts), wall,
-               pps);
-    if (pps > out.best_pps) {
-      out.best_pps = pps;
-      out.best_wall = wall;
-    }
-    if (!fastpath && rep + 1 == reps) {
-      // The tester assembles the uniform reports from its registry-backed
-      // instrumentation; no per-bench stats plumbing. Reported for the
-      // interpreted series so the numbers stay comparable across PRs.
-      const auto reports = tb.tester->alloc_cache_reports();
-      for (const auto& r : reports) bench::row("  %s", sim::format_alloc_cache(r).c_str());
-      json.add("fig9_packet_pool_hit_rate", reports[0].hit_rate(), "ratio", 0.0);
-      json.add("fig9_event_slab_hit_rate", reports[1].hit_rate(), "ratio", 0.0);
-      json.add("fig9_event_slab_high_water", static_cast<double>(reports[1].high_water),
-               "nodes", 0.0);
-      json.add("fig9_heap_closures",
-               static_cast<double>(tb.tester->events().slab_stats().heap_closures), "closures",
-               0.0);
-    }
-  }
-  return out;
-}
-
-/// End-to-end throughput of the Fig. 9(a) single-port workload, both
-/// paths: the interpreted reference walk (the recorded baseline series)
-/// and the task-compiled fast path, interleaved rep-by-rep.
-void run_fig9_workload(ht::bench::BenchJson& json, int reps) {
-  using namespace ht;
-  bench::headline("Fig. 9 single-port workload (64B, 100G, 2ms window)",
-                  "interpreted walk vs. task-compiled fast path");
-  const Fig9Series interp = run_fig9_series(json, reps, /*fastpath=*/false);
-  const Fig9Series fused = run_fig9_series(json, reps, /*fastpath=*/true);
-  bench::row("  interpreted best: %.0f pkts/s (prerefactor %.0f, %.2fx)", interp.best_pps,
-             kPreRefactorPktsPerSec, interp.best_pps / kPreRefactorPktsPerSec);
-  bench::row("  fused best:       %.0f pkts/s (%.2fx interp, %.2fx pre-fusion baseline)",
-             fused.best_pps, fused.best_pps / interp.best_pps,
-             fused.best_pps / kPreFusionPktsPerSec);
-  json.add("fig9_pkts_per_sec", interp.best_pps, "pkts/s", interp.best_wall);
-  json.add("fig9_pkts_per_sec_prerefactor", kPreRefactorPktsPerSec, "pkts/s", 0.0);
-  json.add("fig9_speedup_vs_prerefactor", interp.best_pps / kPreRefactorPktsPerSec, "ratio",
-           0.0);
-  json.add("fig9_pkts_per_sec_fused", fused.best_pps, "pkts/s", fused.best_wall);
-  json.add("fig9_fused_speedup", fused.best_pps / interp.best_pps, "ratio", 0.0);
-  json.add("fig9_pkts_per_sec_prefusion", kPreFusionPktsPerSec, "pkts/s", 0.0);
-  json.add("fig9_fused_speedup_vs_prefusion", fused.best_pps / kPreFusionPktsPerSec, "ratio",
-           0.0);
-}
-
-/// Wall-clock scaling of the shard-per-worker engine on the fig10(c)
-/// workload (bench/sharded.hpp): eight independent 100G testers over
-/// {1,2,4,8} shards, best of `reps`. Simulated results are byte-identical
-/// across the sweep (tests/determinism_test.cpp); this records how much
-/// wall-clock the worker threads buy on this machine.
-void run_fig10_scaling(ht::bench::BenchJson& json, int reps) {
-  using namespace ht;
-  bench::headline("Fig. 10(c) sharded scaling (8 testers x 100G, 64B, 2ms window)",
-                  "shard-per-worker engine; byte-identical results across shard counts");
-  double pps1 = 0.0;
-  for (const std::size_t nshards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    bench::ShardedRun best;
-    for (int rep = 0; rep < reps; ++rep) {
-      const bench::ShardedRun r = bench::run_sharded_throughput(nshards);
-      if (r.pkts_per_sec > best.pkts_per_sec) best = r;
-    }
-    if (nshards == 1) pps1 = best.pkts_per_sec;
-    bench::row("  shards=%zu: packets=%llu wall=%.3fs pkts/s=%.0f (%.2fx)", nshards,
-               static_cast<unsigned long long>(best.packets), best.wall_s, best.pkts_per_sec,
-               best.pkts_per_sec / pps1);
-    json.add("fig10_pkts_per_sec_shards" + std::to_string(nshards), best.pkts_per_sec, "pkts/s",
-             best.wall_s);
-    if (nshards == 8) {
-      json.add("fig10_scaling_efficiency", best.pkts_per_sec / (8.0 * pps1), "ratio", 0.0);
-    }
-  }
-}
-
 /// Host cost of `ntapi::Compiler::compile()` on an `ip_scan` task, which
 /// the false-positive precompute dominates: one key per scanned address is
 /// enumerated and run through the collision analysis (DESIGN.md section 16).
@@ -246,7 +127,7 @@ void run_fig10_scaling(ht::bench::BenchJson& json, int reps) {
 /// median/min/max wall seconds over `reps`, CPU seconds per compile, and
 /// the process's peak RSS after the series (ru_maxrss, a high-water mark:
 /// the series runs first so the 2^17 figure is not inflated by later work).
-void run_compile_series(ht::bench::BenchJson& json, int reps) {
+void run_compile_series(int reps) {
   using namespace ht;
   using clock = std::chrono::steady_clock;
   bench::headline("ip_scan compile (false-positive precompute)",
@@ -277,25 +158,16 @@ void run_compile_series(ht::bench::BenchJson& json, int reps) {
     bench::row("  2^%u addresses: median %.3fs (min %.3f max %.3f) cpu %.3fs/compile, "
                "%zu exact keys, peak RSS %.1f MiB",
                log2, median, wall.front(), wall.back(), cpu / reps, exact_keys, peak_rss_mb);
-    const std::string series = "compile_ip_scan_2p" + std::to_string(log2);
-    json.add(series + "_median_s", median, "s", median);
-    json.add(series + "_min_s", wall.front(), "s", wall.front());
-    json.add(series + "_max_s", wall.back(), "s", wall.back());
-    json.add(series + "_cpu_s", cpu / reps, "s", 0.0);
-    json.add(series + "_peak_rss_mb", peak_rss_mb, "MiB", 0.0);
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ht::bench::BenchJson json("perf", ht::bench::take_json_path(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  run_compile_series(json, 5);
+  run_compile_series(5);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_fig9_workload(json, 5);
-  run_fig10_scaling(json, 2);
-  return json.write() ? 0 : 1;
+  return 0;
 }

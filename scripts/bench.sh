@@ -1,82 +1,58 @@
 #!/usr/bin/env sh
-# Regenerate the machine-readable bench sidecars:
+# Regenerate the committed bench records, BENCH_*.json in the repo root.
 #
-#   BENCH_perf.json  perf_micro: hot-path micro-benchmarks plus the Fig. 9
-#                    single-port packets/sec measurement against the
-#                    recorded pre-refactor baseline (see DESIGN.md sec. 8)
-#   BENCH_fig9.json  fig9_throughput_single_port: achieved Gbps per packet
-#                    size on 100G/40G ports, plus a `telemetry` block —
-#                    the 64B run's metrics-registry dump (per-port wire
-#                    latency quantiles, queue-depth gauges; DESIGN.md
-#                    sec. 10)
-#   BENCH_fig9_lossy.json  the same 100G sweep through a chaos link with
-#                    1% Bernoulli loss: delivered goodput + drop counters
-#                    (DESIGN.md sec. 9) + the final run's telemetry block
-#   BENCH_fig9_crash.json  the sweep under the supervised run lifecycle
-#                    (DESIGN.md sec. 14): tester killed at 50%, restored
-#                    from the newest attested snapshot. Reports delivered
-#                    packets, result completeness vs an uninterrupted
-#                    supervised run (must be 1.0), and recovery counts;
-#                    the binary exits nonzero if the recovered final state
-#                    is not byte-identical to the clean run's
-#   BENCH_fig10.json fig10_throughput_multi_port: per-port line-rate table
-#                    plus the sharded-engine wall-clock scaling sweep
-#                    (fig10_pkts_per_sec_shards{1,2,4,8} and
-#                    fig10_scaling_efficiency; DESIGN.md sec. 13). Pass
-#                    `--shards N` through to measure a single shard count
-#                    and `--testers N` to grow the fleet beyond the
-#                    default 8 (auto-placed over the shards).
-#   BENCH_l7.json    l7_cps_rps (with --l7): the stateful L4-L7 scenario
-#                    axis (DESIGN.md sec. 15) — CPS high-water against the
-#                    million-connection TCB store, request/response RPS
-#                    with p99 latency clean and under chaos, and the
-#                    shard-count determinism check (the binary exits
-#                    nonzero if any shard count diverges)
+# Every value in them is a simulated result (Gbps, packet counts, sim-time
+# rates and latencies), so any host regenerates the same bytes and the
+# committed files are goldens: CI runs this script and fails on
+# `git diff --exit-code -- 'BENCH_*.json'`. Host-time measurements live in
+# htbench/ (BENCHMARK.json), which records the host and controls noise.
 #
-#   scripts/bench.sh [build-dir] [--shards N] [--testers N] [--l7]
+#   BENCH_fig9.json        Gbps per packet size on 100G and 40G ports, the
+#                          MoonGen 1-core model, and the 64B run's
+#                          metrics-registry dump as a `telemetry` block
+#   BENCH_fig9_lossy.json  the 100G sweep through a chaos link with 1%
+#                          Bernoulli loss: goodput, losses, drop total and
+#                          the 1500B run's telemetry block
+#   BENCH_fig9_crash.json  the sweep under the supervisor, tester killed at
+#                          50%: delivered packets, completeness (must be 1)
+#                          and recoveries; exits nonzero if the recovered
+#                          state differs from the uninterrupted run's
+#   BENCH_fig10.json       Fig. 10(a) Gbps per port count, 10(b) MoonGen Gbps
+#                          per core count, 10(c) packets on 1/2/4/8 shards;
+#                          exits nonzero if the shard counts disagree
+#   BENCH_l7.json          L4-L7: CPS high water and conn/s, RPS resp/s and
+#                          p99 clean and under chaos, DNS resp/s, and the
+#                          shard-count determinism check; exits nonzero on
+#                          any off-shape result
 #
-# The build dir must already be configured+built (default: build). Output
-# files land in the repo root. Wall-clock numbers depend on machine load;
-# prefer an otherwise idle machine.
+#   scripts/bench.sh [build-dir]
+#
+# The build dir (default: build) must already be configured and built.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="build"
-SHARDS_ARGS=""
-TESTERS_ARGS=""
-RUN_L7=0
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --shards) SHARDS_ARGS="--shards $2"; shift 2 ;;
-    --testers) TESTERS_ARGS="--testers $2"; shift 2 ;;
-    --l7) RUN_L7=1; shift ;;
-    *) BUILD_DIR="$1"; shift ;;
-  esac
-done
+if [ $# -gt 1 ]; then
+  echo "usage: scripts/bench.sh [build-dir]" >&2
+  exit 2
+fi
+BIN="${1:-build}/bench"
 
-if [ ! -x "$BUILD_DIR/bench/perf_micro" ]; then
-  echo "bench.sh: $BUILD_DIR/bench/perf_micro not built (run: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j)" >&2
+if [ ! -x "$BIN/l7_cps_rps" ]; then
+  echo "bench.sh: $BIN not built (run: cmake -B ${1:-build} -S . && cmake --build ${1:-build} -j)" >&2
   exit 1
 fi
 
-"$BUILD_DIR/bench/perf_micro" --json BENCH_perf.json
-"$BUILD_DIR/bench/fig9_throughput_single_port" --json BENCH_fig9.json
-"$BUILD_DIR/bench/fig9_throughput_single_port" --loss 0.01 --json BENCH_fig9_lossy.json
-"$BUILD_DIR/bench/fig9_throughput_single_port" --crash --json BENCH_fig9_crash.json
-# shellcheck disable=SC2086 -- SHARDS_ARGS/TESTERS_ARGS are deliberately word-split
-"$BUILD_DIR/bench/fig10_throughput_multi_port" $SHARDS_ARGS $TESTERS_ARGS --json BENCH_fig10.json
+"$BIN/fig9_throughput_single_port" --json BENCH_fig9.json
+"$BIN/fig9_throughput_single_port" --loss 0.01 --json BENCH_fig9_lossy.json
+"$BIN/fig9_throughput_single_port" --crash --json BENCH_fig9_crash.json
+"$BIN/fig10_throughput_multi_port" --json BENCH_fig10.json
+"$BIN/l7_cps_rps" --json BENCH_l7.json
 
-WROTE="BENCH_perf.json BENCH_fig9.json BENCH_fig9_lossy.json BENCH_fig9_crash.json BENCH_fig10.json"
-if [ "$RUN_L7" = 1 ]; then
-  "$BUILD_DIR/bench/l7_cps_rps" --json BENCH_l7.json
-  WROTE="$WROTE BENCH_l7.json"
-fi
-
-# The fig9 sidecars must carry the registry dump.
+# The fig9 records must carry the registry dump.
 for f in BENCH_fig9.json BENCH_fig9_lossy.json; do
   grep -q '"telemetry":' "$f" || { echo "bench.sh: $f missing telemetry block" >&2; exit 1; }
 done
 
 echo
-echo "wrote $WROTE"
+echo "wrote BENCH_fig9.json BENCH_fig9_lossy.json BENCH_fig9_crash.json BENCH_fig10.json BENCH_l7.json"

@@ -18,7 +18,7 @@ debug info (RelWithDebInfo, the default) to resolve inlined frames.
 Examples:
     scripts/prof/prof.py --only htbench_run -- \\
         python3 htbench/run.py --workload l7_cps --seed 1 --seconds 10 --trace 0
-    scripts/prof/prof.py -- ./build/bench/perf_micro --benchmark_filter=fig9
+    scripts/prof/prof.py -- ./build/bench/fig9_throughput_single_port
 """
 
 import argparse

@@ -21,7 +21,7 @@
  * that loads the sampler.
  *
  * Build by hand:  cc -O2 -shared -fPIC -o libhtprof.so scripts/prof/sampler.c -lrt
- * Run by hand:    LD_PRELOAD=$PWD/libhtprof.so ./build/bench/perf_micro
+ * Run by hand:    LD_PRELOAD=$PWD/libhtprof.so ./build/bench/fig9_throughput_single_port
  *
  * Only a sampled process that exits normally (return from main or exit())
  * writes a profile; an _exit() or a fatal signal loses it.

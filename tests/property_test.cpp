@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <ostream>
-#include <type_traits>
 
 #include "htpr/false_positive.hpp"
 #include "htps/inverse_transform.hpp"
@@ -20,6 +18,14 @@
 #include "sim/stats.hpp"
 #include "testutil.hpp"
 
+namespace ht::net {
+
+// Names each EditorFieldSweep case after its field ("ipv4.sip"). gtest finds
+// it by argument-dependent lookup, so it lives in FieldId's namespace.
+void PrintTo(FieldId field, std::ostream* os) { *os << field_name(field); }
+
+}  // namespace ht::net
+
 namespace ht {
 namespace {
 
@@ -27,20 +33,21 @@ using net::FieldId;
 
 // --- packet round-trips over the full protocol/size grid ----------------------
 
-// gtest names each case after the raw bytes of its parameter, so every
-// construction and copy zeroes the padding after `l4`: a member-wise copy
-// leaves it holding stale heap bytes, and the test names changed from run to run.
 struct PacketCase {
-  PacketCase(net::HeaderKind kind, std::size_t bytes) {
-    std::memset(static_cast<void*>(this), 0, sizeof(*this));
-    l4 = kind;
-    size = bytes;
-  }
-  PacketCase(const PacketCase& other) : PacketCase(other.l4, other.size) {}
-  PacketCase& operator=(const PacketCase&) = default;
   net::HeaderKind l4;
   std::size_t size;
 };
+
+// Names each case by its protocol and size ("udp_64").
+void PrintTo(const PacketCase& c, std::ostream* os) {
+  switch (c.l4) {
+    case net::HeaderKind::kUdp: *os << "udp"; break;
+    case net::HeaderKind::kTcp: *os << "tcp"; break;
+    case net::HeaderKind::kIcmp: *os << "icmp"; break;
+    default: *os << "l4_" << static_cast<int>(c.l4); break;
+  }
+  *os << '_' << c.size;
+}
 
 class PacketRoundTrip : public ::testing::TestWithParam<PacketCase> {};
 
@@ -80,7 +87,10 @@ struct FifoCase {
   std::size_t capacity;
   std::size_t lanes;
 };
-static_assert(std::has_unique_object_representations_v<FifoCase>);
+
+void PrintTo(const FifoCase& c, std::ostream* os) {
+  *os << "cap" << c.capacity << "_lanes" << c.lanes;
+}
 
 class FifoSweep : public ::testing::TestWithParam<FifoCase> {};
 
@@ -120,15 +130,15 @@ INSTANTIATE_TEST_SUITE_P(Geometries, FifoSweep,
 
 // --- counter-store exactness across geometries ---------------------------------
 
-// gtest names each case after the raw bytes of its parameter, so the
-// parameter may hold no padding: `digest_bits` is as wide as its neighbours,
-// where an `unsigned` left 4 uninitialised bytes in every case name.
 struct StoreCase {
   std::size_t buckets;
   std::size_t digest_bits;
   std::size_t flows;
 };
-static_assert(std::has_unique_object_representations_v<StoreCase>);
+
+void PrintTo(const StoreCase& c, std::ostream* os) {
+  *os << 'b' << c.buckets << "_d" << c.digest_bits << "_f" << c.flows;
+}
 
 class CounterStoreSweep : public ::testing::TestWithParam<StoreCase> {};
 
